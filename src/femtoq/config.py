@@ -280,9 +280,20 @@ def save_config(config: ScenarioConfig, path) -> None:
         yaml.safe_dump(config_to_dict(config), fh, sort_keys=True)
 
 
+# where artifacts go and how far the oracle may enumerate change no result
+_UNHASHED = (("run", "output_dir"), ("run", "oracle_cap"))
+
+
 def config_hash(config: ScenarioConfig) -> str:
-    """Stable hash of the effective configuration; changes iff a parameter does."""
-    canonical = json.dumps(config_to_dict(config), sort_keys=True, separators=(",", ":"))
+    """Stable hash of the effective configuration; changes iff a parameter does.
+
+    Fields in ``_UNHASHED`` are left out, so a run and a later oracle call
+    that differ only there still match.
+    """
+    data = config_to_dict(config)
+    for section, key in _UNHASHED:
+        del data[section][key]
+    canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 

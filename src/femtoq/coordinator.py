@@ -176,42 +176,106 @@ def check_constraints(
     )
 
 
+class SharingGroups:
+    """The agents of one density step that average their Q-rows, as index arrays.
+
+    Agents in the same ring state form a group; singletons are left out.
+    The groups are padded into a ``(G, k_max)`` index array whose spare
+    slots point at row ``m`` of the Q buffer, which stays zero. So one
+    gather, ``sum(axis=1)`` and a division by the group sizes give every
+    group mean. Adding a zero changes no sum, and numpy adds the gathered
+    rows in the same order as ``np.mean`` over the group's rows, so the
+    means are bit-for-bit those of ``share_active_rows``.
+    """
+
+    def __init__(self, states: Sequence[AgentState]):
+        by_state: dict[AgentState, list[int]] = {}
+        for i, state in enumerate(states):
+            by_state.setdefault(state, []).append(i)
+        groups = [v for v in by_state.values() if len(v) >= 2]
+        sizes = [len(v) for v in groups]
+        self.index = np.full((len(groups), max(sizes, default=0)), len(states), dtype=np.intp)
+        for g, members in enumerate(groups):
+            self.index[g, : len(members)] = members
+        self.counts = np.array(sizes, dtype=float)[:, None]
+        self.members = np.array([i for v in groups for i in v], dtype=np.intp)
+        self.member_group = np.repeat(np.arange(len(groups)), sizes)
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def share(self, buf: np.ndarray) -> np.ndarray:
+        """Set each member's row of ``buf`` to its group mean; return the new member rows.
+
+        ``buf`` holds one row per agent plus a trailing zero row.
+        """
+        means = buf[self.index].sum(axis=1) / self.counts
+        shared = means[self.member_group]
+        buf[self.members] = shared
+        return shared
+
+
 class DensityStep:
     """Learning loop for one fixed set of active agents.
 
-    Holds the active Q-rows in a contiguous matrix for speed; the per-agent
-    tables are synced back when the step finishes. The per-iteration
-    Q-delta is the largest absolute entry change across the whole
-    iteration (update plus sharing), which is what the convergence
-    detector consumes.
+    The active Q-rows live in an ``(m + 1, n_power)`` buffer whose last
+    row stays zero (the padding target of ``SharingGroups``); ``_qmat`` is
+    a view of its first ``m`` rows. The per-agent tables are synced back
+    when the step finishes.
+
+    Each iteration takes one ``argmax`` per row: it is the greedy action
+    and, read before the update, its entry is the row maximum of the TD
+    target. Exploring agents then draw from their own generators, in agent
+    order. After the update, each sharing group's rows are replaced by
+    their mean (see ``SharingGroups``).
+
+    The per-iteration Q-delta is the largest absolute entry change across
+    the whole iteration (update plus sharing), which is what the
+    convergence detector consumes. A row outside a sharing group changes
+    only at its updated entry, so only group rows are compared in full.
+    While the matrix holds a NaN or an infinity, an unchanged entry can
+    still give NaN, so the whole matrix is compared instead.
+
+    The delta stays at the size of the exploration noise until the
+    epsilon-schedule stops exploring, so ``iterations_to_converge`` comes
+    out near ``explore_fraction * max_iterations + window`` for every
+    non-trivial step: it measures the schedule, not how fast learning
+    settled.
+
+    ``step`` keeps the arrays of the last iteration; ``record`` turns them
+    into an ``IterationRecord``, which ``run`` does only for the iterations
+    it keeps.
     """
 
     def __init__(self, sim: "Simulation", agents: list[Agent], *, sharing: bool):
         self._sim = sim
         self._agents = list(agents)
-        self._sharing = sharing
-        ids = np.array([a.agent_id for a in agents])
+        self._agent_ids = tuple(a.agent_id for a in agents)
+        m = len(agents)
+        ids = np.array(self._agent_ids)
         g = sim.gains.as_array()
         self._g_fbs_mue = g[1 + ids, 0].copy()
-        self._g_mbs_fue = g[0, 1 + ids].copy()
         cross = g[np.ix_(1 + ids, 1 + ids)].copy()
         self._g_serve = np.diag(cross).copy()
         self._g_cross = cross
+        self._mbs_fue = sim.p_bs_mw * g[0, 1 + ids]
         self._signal_mue = sim.p_bs_mw * g[0, 0]
         self._proximity = np.array([a.proximity for a in agents])
         self._fue_thresholds = np.array([a.fue_threshold for a in agents])
-        self._qmat = np.array([a.active_row() for a in agents])
-        self._idx = np.arange(len(agents))
-        self._groups: list[np.ndarray] = []
-        if sharing:
-            by_state: dict[AgentState, list[int]] = {}
-            for i, a in enumerate(agents):
-                by_state.setdefault(a.state, []).append(i)
-            self._groups = [np.array(v) for v in by_state.values() if len(v) >= 2]
+        n_actions = len(sim.actions)
+        self._buf = np.zeros((m + 1, n_actions))
+        self._buf[:m] = [a.active_row() for a in agents]
+        self._qmat = self._buf[:m]
+        self._flat = self._qmat.reshape(-1)  # a view: the rows are contiguous
+        self._row_start = np.arange(m) * n_actions
+        self._groups = SharingGroups([a.state for a in agents] if sharing else [])
+        self._draws = [(a.rng.random, a.rng.integers) for a in agents]
+        self._finite = bool(np.isfinite(self._qmat).all())
         self._streak = 0
         self.iterations_run = 0
         self.converged = False
-        self._last: IterationRecord | None = None
+        # (iteration, actions, c_mue, c_fue, rewards, delta) of the last iteration
+        self._last: tuple | None = None
 
     @property
     def m(self) -> int:
@@ -223,7 +287,7 @@ class DensityStep:
         c_mue = math.log1p(self._signal_mue / (interference + noise)) / _LN2
         received = powers_mw @ self._g_cross
         signal = powers_mw * self._g_serve
-        denom = received - signal + self._sim.p_bs_mw * self._g_mbs_fue + noise
+        denom = received - signal + self._mbs_fue + noise
         c_fue = np.log1p(signal / denom) / _LN2
         return c_mue, c_fue
 
@@ -250,69 +314,93 @@ class DensityStep:
                     )
                 )
                 for c, p, q in zip(c_fue, self._proximity, self._fue_thresholds)
-            ]
+            ],
+            dtype=float,
         )
 
-    def step(self, iteration: int) -> IterationRecord:
+    def step(self, iteration: int) -> None:
         """Run one synchronous iteration: select, evaluate, reward, update, share."""
         sim = self._sim
         params = sim.params
-        qmat = self._qmat
-        snapshot = qmat.copy()
+        qmat, flat, groups = self._qmat, self._flat, self._groups
+        snapshot = None if self._finite else qmat.copy()
 
+        actions = qmat.argmax(axis=1)
+        row_max = flat[self._row_start + actions]
         eps = epsilon_at(iteration, params)
-        actions = np.argmax(qmat, axis=1)
         if eps > 0.0:
             n_actions = qmat.shape[1]
-            for i, agent in enumerate(self._agents):
-                if agent.rng.random() < eps:
-                    actions[i] = int(agent.rng.integers(n_actions))
+            for i, (random, integers) in enumerate(self._draws):
+                if random() < eps:
+                    actions[i] = integers(n_actions)
 
-        powers_mw = sim.actions.levels_mw[actions]
-        c_mue, c_fue = self._capacities(powers_mw)
+        c_mue, c_fue = self._capacities(sim.actions.levels_mw[actions])
         rewards = self._rewards(c_mue, c_fue)
 
-        row_max = qmat.max(axis=1)
-        old = qmat[self._idx, actions]
-        qmat[self._idx, actions] = (1.0 - params.alpha) * old + params.alpha * (
-            rewards + params.gamma * row_max
-        )
-        for group in self._groups:
-            qmat[group] = qmat[group].mean(axis=0)
-
-        delta = float(np.abs(qmat - snapshot).max())
+        pos = self._row_start + actions
+        old = flat[pos]
+        new = (1.0 - params.alpha) * old + params.alpha * (rewards + params.gamma * row_max)
+        change = np.abs(new - old)  # a row outside a sharing group changes only here
+        if len(groups):
+            before = qmat[groups.members]
+            flat[pos] = new
+            change[groups.members] = np.abs(groups.share(self._buf) - before).max(axis=1)
+        else:
+            flat[pos] = new
+        delta = float(change.max() if snapshot is None else np.abs(qmat - snapshot).max())
+        self._finite = math.isfinite(delta)
         self._streak = self._streak + 1 if delta < sim.criterion.tolerance else 0
 
-        record = IterationRecord(
+        self._last = (iteration, actions, c_mue, c_fue, rewards, delta)
+
+    def record(self) -> IterationRecord:
+        """The joint outcome of the last iteration ``step`` ran."""
+        if self._last is None:
+            raise RuntimeError("no iteration has run yet")
+        iteration, actions, c_mue, c_fue, rewards, delta = self._last
+        return IterationRecord(
             iteration=iteration,
-            agent_ids=tuple(a.agent_id for a in self._agents),
-            actions=tuple(int(a) for a in actions),
-            powers_dbm=tuple(float(sim.actions.levels_dbm[a]) for a in actions),
+            agent_ids=self._agent_ids,
+            actions=tuple(actions.tolist()),
+            powers_dbm=tuple(self._sim.actions.levels_dbm[actions].tolist()),
             c_mue=c_mue,
-            fue_capacities=tuple(float(c) for c in c_fue),
-            rewards=tuple(float(r) for r in rewards),
+            fue_capacities=tuple(c_fue.tolist()),
+            rewards=tuple(rewards.tolist()),
             max_q_delta=delta,
         )
-        self._last = record
-        return record
 
     def run(self) -> tuple[DensitySummary, list[IterationRecord]]:
-        """Iterate to convergence or the budget, then sync tables and summarize."""
+        """Iterate to convergence or the budget, then check, sync and summarize.
+
+        Every ``trace_stride``-th iteration is recorded, and the last one too.
+        """
         sim = self._sim
         stride = sim.config.trace_stride
+        window = sim.criterion.window
+        step = self.step
         records: list[IterationRecord] = []
         for iteration in range(sim.params.max_iterations):
-            record = self.step(iteration)
+            step(iteration)
             if iteration % stride == 0:
-                records.append(record)
-            self.iterations_run = iteration + 1
-            if self._streak >= sim.criterion.window:
+                records.append(self.record())
+            if self._streak >= window:
                 self.converged = True
                 break
-        if records and records[-1] is not self._last and self._last is not None:
-            records.append(self._last)
+        self.iterations_run = iteration + 1
+        if iteration % stride:
+            records.append(self.record())
+        self._check_finite()
         self.finalize()
         return self._summary(), records
+
+    def _check_finite(self) -> None:
+        bad = ~np.isfinite(self._qmat).all(axis=1)
+        if bad.any():
+            agent = self._agents[int(bad.argmax())]
+            raise FloatingPointError(
+                f"agent {agent.agent_id} has a non-finite Q-value at density m={self.m} "
+                f"after {self.iterations_run} iterations"
+            )
 
     def finalize(self) -> None:
         """Write the working rows back into the agents' tables."""
@@ -331,7 +419,7 @@ class DensityStep:
         return DensitySummary(
             m=self.m,
             phase=phase,
-            agent_ids=tuple(a.agent_id for a in self._agents),
+            agent_ids=self._agent_ids,
             actions=tuple(int(a) for a in actions),
             powers_dbm=tuple(float(sim.actions.levels_dbm[a]) for a in actions),
             c_mue_final=c_mue,

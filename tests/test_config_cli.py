@@ -133,6 +133,11 @@ class TestConfigRoundTrip:
         for change in ({"seed": 2}, {"m_max": 5}, {"alpha": 0.4}, {"d_th_m": 30.0}):
             assert config_hash(replace(base, **change)) != config_hash(base)
 
+    def test_hash_ignores_fields_that_change_no_result(self):
+        base = ScenarioConfig()
+        for change in ({"output_dir": "elsewhere"}, {"oracle_cap": 5}):
+            assert config_hash(replace(base, **change)) == config_hash(base)
+
     def test_pinned_layout_round_trip(self, tmp_path):
         config = ScenarioConfig(m_max=4, seed=3)
         topo = build_topology(config)
@@ -229,6 +234,24 @@ class TestCli:
         expected_gap = (float(row["best_objective"]) - learned[3]) / float(row["best_objective"])
         assert float(row["optimality_gap"]) == pytest.approx(expected_gap, rel=1e-12)
         assert float(row["learned_sum"]) == pytest.approx(learned[3], rel=1e-12)
+
+    def test_oracle_cap_change_keeps_gap(self, tmp_path):
+        data = {
+            **FAST_RUN,
+            "actions": {"p_min_dbm": -20.0, "p_max_dbm": 25.0, "n_power": 3},
+            "phases": {"m_max": 2, "seed_agents": 2},
+        }
+        run_path = write_yaml(tmp_path / "run.yaml", data)
+        oracle_path = write_yaml(
+            tmp_path / "oracle.yaml", {**data, "run": {**data["run"], "oracle_cap": 1000}}
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", run_path, "--out", str(out), "--quiet"]) == 0
+        assert main(["oracle", "--config", oracle_path, "--out", str(out), "--quiet"]) == 0
+        with open(out / "oracle_result.csv", newline="") as fh:
+            row = next(csv.DictReader(fh))
+        assert row["optimality_gap"] != ""
+        assert row["learned_sum"] != ""
 
     def test_oracle_without_matching_run_leaves_gap_blank(self, tmp_path):
         data = {

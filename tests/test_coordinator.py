@@ -10,6 +10,7 @@ from femtoq.config import ScenarioConfig
 from femtoq.coordinator import (
     ConvergenceCriterion,
     DensityStep,
+    SharingGroups,
     Simulation,
     check_constraints,
     detect_convergence,
@@ -101,6 +102,38 @@ class TestShareActiveRows:
             share_active_rows([np.zeros(2)], [])
 
 
+class TestSharingGroups:
+    @given(
+        sizes=st.lists(st.integers(min_value=1, max_value=7), min_size=1, max_size=6),
+        n=st.integers(min_value=1, max_value=9),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_padded_gather_equals_np_mean(self, sizes, n, seed):
+        # group g has sizes[g] members (size 1 is a singleton), shuffled
+        rng = np.random.default_rng(seed)
+        states = [AgentState(g, 0) for g, k in enumerate(sizes) for _ in range(k)]
+        states = [states[i] for i in rng.permutation(len(states))]
+        rows = rng.normal(scale=rng.choice([1e-3, 1.0, 1e6]), size=(len(states), n))
+
+        expected = [r.copy() for r in rows]
+        share_active_rows(expected, states)
+        groups = SharingGroups(states)
+        buf = np.zeros((len(states) + 1, n))
+        buf[:-1] = rows
+        shared = groups.share(buf)
+
+        assert np.array_equal(buf[:-1], np.array(expected))
+        assert np.array_equal(buf[-1], np.zeros(n))
+        assert np.array_equal(shared, buf[groups.members])
+
+    def test_singletons_form_no_group(self):
+        groups = SharingGroups([AgentState(0, 0), AgentState(1, 0), AgentState(0, 0)])
+        assert len(groups) == 1
+        assert groups.members.tolist() == [0, 2]
+        assert groups.index.tolist() == [[0, 2]]
+
+
 class TestDetectConvergence:
     CRIT = ConvergenceCriterion(window=5, tolerance=1e-3)
 
@@ -146,7 +179,8 @@ class TestDensityStep:
         config = tiny_config(m_max=1, seed_agents=1, explore_fraction=0.0)
         sim = Simulation(config)
         step = DensityStep(sim, [sim.agents[0]], sharing=False)
-        record = step.step(0)
+        step.step(0)
+        record = step.record()
         assert record.actions == (0,)  # zero Q-row ties break to lowest power
         assert record.powers_dbm == (config.p_min_dbm,)
         assert record.rewards[0] != 0.0
@@ -166,13 +200,47 @@ class TestDensityStep:
         step = DensityStep(sim, list(sim.agents), sharing=False)
         noise = sim.noise_mw
         for it in range(20):
-            rec = step.step(it)
+            step.step(it)
+            rec = step.record()
             powers_mw = np.array([dbm_to_mw(p) for p in rec.powers_dbm])
             c_mue = capacity_bps_hz(mue_sinr(sim.p_bs_mw, powers_mw, sim.gains, noise))
             assert rec.c_mue == pytest.approx(c_mue, rel=1e-12)
             for i in range(3):
                 c = capacity_bps_hz(fue_sinr(i, sim.p_bs_mw, powers_mw, sim.gains, noise))
                 assert rec.fue_capacities[i] == pytest.approx(c, rel=1e-12)
+
+    @pytest.mark.parametrize("sharing", [True, False])
+    def test_q_delta_is_full_matrix_change(self, sharing):
+        config = tiny_config(m_max=6, seed_agents=1, seed=3)
+        sim = Simulation(config)
+        step = DensityStep(sim, list(sim.agents), sharing=sharing)
+        assert len(step._groups) == (2 if sharing else 0)
+        for it in range(30):
+            before = step._qmat.copy()
+            step.step(it)
+            full = float(np.abs(step._qmat - before).max())
+            assert step.record().max_q_delta == full
+
+    def test_q_delta_nan_from_unchanged_infinite_entry(self):
+        # inf - inf at an entry no update touched makes the full-matrix delta NaN
+        config = tiny_config(m_max=3, seed_agents=3, explore_fraction=0.0)
+        sim = Simulation(config)
+        sim.agents[0].active_row()[-1] = -np.inf
+        step = DensityStep(sim, list(sim.agents), sharing=False)
+        for it in range(3):
+            with np.errstate(invalid="ignore"):
+                step.step(it)
+            assert np.isnan(step.record().max_q_delta)
+
+    def test_record_before_any_step_rejected(self):
+        sim = Simulation(tiny_config())
+        with pytest.raises(RuntimeError):
+            DensityStep(sim, [sim.agents[0]], sharing=False).record()
+
+    def test_non_finite_q_value_raises_after_density_step(self):
+        sim = Simulation(tiny_config(), reward_fn=lambda _: float("nan"))
+        with pytest.raises(FloatingPointError, match=r"agent 0 .* m=1 after 300 iterations"):
+            sim.run()
 
     def test_sharing_groups_act_identically_when_greedy(self):
         config = tiny_config(m_max=4, seed_agents=1, explore_fraction=0.0, seed=5)
@@ -182,7 +250,8 @@ class TestDensityStep:
             pytest.skip("layout did not produce a shared state group")
         step = DensityStep(sim, same_state, sharing=True)
         step.step(0)
-        second = step.step(1)
+        step.step(1)
+        second = step.record()
         assert len(set(second.actions)) == 1
 
 
