@@ -243,6 +243,13 @@ def run_oracle(config: ScenarioConfig, *, quiet: bool = False) -> Path:
                         learned = float(row["sum_capacity"])
                         learned_sum = repr(learned)
                         gap = repr((result.best_objective - learned) / result.best_objective)
+        else:
+            print(
+                f"oracle: {manifest_path} is from another configuration "
+                f"(config_hash {manifest.get('config_hash')}); "
+                "learned_sum and optimality_gap left blank",
+                file=sys.stderr,
+            )
 
     _write_csv(
         out_dir / "oracle_result.csv",

@@ -233,8 +233,10 @@ class DensityStep:
     the whole iteration (update plus sharing), which is what the
     convergence detector consumes. A row outside a sharing group changes
     only at its updated entry, so only group rows are compared in full.
-    While the matrix holds a NaN or an infinity, an unchanged entry can
-    still give NaN, so the whole matrix is compared instead.
+    Once the matrix holds a NaN or an infinity the full diff is NaN on
+    every later iteration (an unchanged infinity gives inf - inf, and no
+    update turns a non-finite entry finite again), so the delta is NaN
+    from then on without comparing anything.
 
     The delta stays at the size of the exploration noise until the
     epsilon-schedule stops exploring, so ``iterations_to_converge`` comes
@@ -323,7 +325,6 @@ class DensityStep:
         sim = self._sim
         params = sim.params
         qmat, flat, groups = self._qmat, self._flat, self._groups
-        snapshot = None if self._finite else qmat.copy()
 
         actions = qmat.argmax(axis=1)
         row_max = flat[self._row_start + actions]
@@ -347,7 +348,7 @@ class DensityStep:
             change[groups.members] = np.abs(groups.share(self._buf) - before).max(axis=1)
         else:
             flat[pos] = new
-        delta = float(change.max() if snapshot is None else np.abs(qmat - snapshot).max())
+        delta = float(change.max()) if self._finite else math.nan
         self._finite = math.isfinite(delta)
         self._streak = self._streak + 1 if delta < sim.criterion.tolerance else 0
 

@@ -266,6 +266,23 @@ class TestCli:
             row = next(csv.DictReader(fh))
         assert row["optimality_gap"] == ""
 
+    def test_oracle_with_mismatched_run_says_why_gap_is_blank(self, tmp_path, capsys):
+        data = {
+            **FAST_RUN,
+            "actions": {"p_min_dbm": -20.0, "p_max_dbm": 25.0, "n_power": 3},
+            "phases": {"m_max": 2, "seed_agents": 2},
+        }
+        config_path = write_yaml(tmp_path / "c.yaml", data)
+        out = tmp_path / "out"
+        assert main(["run", "--config", config_path, "--out", str(out), "--quiet"]) == 0
+        capsys.readouterr()
+        args = ["oracle", "--config", config_path, "--out", str(out), "--seed", "9", "--quiet"]
+        assert main(args) == 0
+        assert "from another configuration" in capsys.readouterr().err
+        with open(out / "oracle_result.csv", newline="") as fh:
+            row = next(csv.DictReader(fh))
+        assert row["optimality_gap"] == ""
+
     def test_unknown_reward_is_config_error(self, tmp_path, capsys):
         path = write_yaml(tmp_path / "c.yaml", {"reward": {"name": "mystery"}})
         assert main(["run", "--config", path]) == 1
