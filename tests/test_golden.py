@@ -1,8 +1,9 @@
-"""Byte-identity of the run artifacts for two small fixed scenarios.
+"""Byte-identity of the run and oracle artifacts for small fixed scenarios.
 
-The digests were written from the simulator before the hot loop was
-rewritten; any refactor must keep them, or re-baseline them on purpose
-and say why in CHANGES.md.
+The run digests were written from the simulator before the hot loop was
+rewritten, the oracle digest before the capacity kernels were merged; any
+refactor must keep them, or re-baseline them on purpose and say why in
+CHANGES.md.
 """
 
 import hashlib
@@ -10,7 +11,7 @@ from collections import Counter
 
 import pytest
 
-from femtoq.cli import write_run_artifacts
+from femtoq.cli import run_oracle, write_run_artifacts
 from femtoq.config import ScenarioConfig
 from femtoq.coordinator import Simulation
 
@@ -70,3 +71,30 @@ def test_artifact_digests(sharing, tmp_path):
         if p.name == "summary.csv" or p.name.startswith("density_")
     }
     assert digests == GOLDEN[sharing]
+
+
+# 15^4 = 50,625 joint actions: two chunks of the oracle's enumeration
+ORACLE_CONFIG = dict(
+    m_max=4,
+    seed_agents=2,
+    n_power=15,
+    max_iterations=400,
+    convergence_window=20,
+    trace_stride=STRIDE,
+    seed=3,
+)
+ORACLE_GOLDEN = "a5601b25db7c367077f288bc3383dd00dcef074fbba6ae8a7c63f27781b7254a"
+
+
+def test_oracle_result_digest(tmp_path):
+    config = ScenarioConfig(output_dir=str(tmp_path), **ORACLE_CONFIG)
+    write_run_artifacts(config, Simulation(config).run(), tmp_path)
+    run_oracle(config, quiet=True)
+
+    # the learned sum and the gap must be filled, or the digest guards less
+    header, row = (tmp_path / "oracle_result.csv").read_text().splitlines()
+    values = dict(zip(header.split(","), row.split(",")))
+    assert int(values["n_enumerated"]) > 1 << 15
+    assert values["learned_sum"] and values["optimality_gap"]
+    digest = hashlib.sha256((tmp_path / "oracle_result.csv").read_bytes()).hexdigest()
+    assert digest == ORACLE_GOLDEN
