@@ -4,14 +4,12 @@ __version__ = "0.1.0"
 
 from .channel import (
     GainMatrix,
+    Links,
     build_gain_matrix,
-    capacity_bps_hz,
     dbm_to_mw,
     evaluate_capacities,
-    fue_sinr,
     gain_from_pathloss_db,
     indoor_to_outdoor_pathloss_db,
-    mue_sinr,
     mw_to_dbm,
     residential_pathloss_db,
 )
@@ -36,19 +34,9 @@ from .coordinator import (
     RunTrace,
     Simulation,
     check_constraints,
-    detect_convergence,
     jain_index,
-    share_active_rows,
 )
-from .learning import (
-    ActionSet,
-    LearningParams,
-    QTable,
-    epsilon_at,
-    make_action_set,
-    q_update,
-    select_action,
-)
+from .learning import ActionSet, LearningParams, epsilon_at, make_action_set
 from .oracle import EnumerationCapExceeded, OracleResult, exhaustive_search
 from .reward import (
     QosThresholds,

@@ -1,4 +1,4 @@
-"""Propagation models, SINR, and capacity for the macro/femto downlink.
+"""Propagation models and the SINR/capacity kernel for the macro/femto downlink.
 
 All link budgets are computed in the linear (milliwatt) domain; decibel
 quantities appear only at the conversion boundary.
@@ -92,27 +92,6 @@ class GainMatrix:
         """Read-only (M+1) x (M+1) array, transmitter-major."""
         return self._gains
 
-    def mbs_to_mue(self) -> float:
-        return float(self._gains[0, 0])
-
-    def fbs_to_mue(self, i: int) -> float:
-        self._check_index(i)
-        return float(self._gains[1 + i, 0])
-
-    def mbs_to_fue(self, i: int) -> float:
-        self._check_index(i)
-        return float(self._gains[0, 1 + i])
-
-    def fbs_to_fue(self, j: int, i: int) -> float:
-        """Gain from femto station ``j`` to the user served by station ``i``."""
-        self._check_index(j)
-        self._check_index(i)
-        return float(self._gains[1 + j, 1 + i])
-
-    def _check_index(self, i: int) -> None:
-        if not 0 <= i < self.m:
-            raise IndexError(f"femto index {i} out of range for M={self.m}")
-
 
 def build_gain_matrix(
     topology,
@@ -158,54 +137,75 @@ def build_gain_matrix(
     return GainMatrix(gains)
 
 
-def mue_sinr(
-    p_bs_mw: float, fbs_powers_mw, gains: GainMatrix, noise_mw: float
-) -> float:
-    """SINR at the macro user under the given joint transmit powers."""
-    powers = np.asarray(fbs_powers_mw, dtype=float)
-    _check_powers(p_bs_mw, powers, gains, noise_mw)
-    interference = float(powers @ gains.as_array()[1:, 0])
-    return p_bs_mw * gains.mbs_to_mue() / (interference + noise_mw)
+class Links:
+    """The capacity kernel: every link of the macro user and a set of femto stations.
 
+    ``ids`` picks the femto stations (all of them when ``None``), in the
+    order their powers are given. ``capacities`` takes one joint action
+    as an ``(m,)`` power vector or ``k`` of them as a ``(k, m)`` batch.
 
-def fue_sinr(
-    i: int, p_bs_mw: float, fbs_powers_mw, gains: GainMatrix, noise_mw: float
-) -> float:
-    """SINR at femto user ``i`` under the given joint transmit powers."""
-    powers = np.asarray(fbs_powers_mw, dtype=float)
-    _check_powers(p_bs_mw, powers, gains, noise_mw)
-    if not 0 <= i < gains.m:
-        raise IndexError(f"femto index {i} out of range for M={gains.m}")
-    signal = powers[i] * gains.fbs_to_fue(i, i)
-    cross = sum(powers[j] * gains.fbs_to_fue(j, i) for j in range(gains.m) if j != i)
-    denom = p_bs_mw * gains.mbs_to_fue(i) + cross + noise_mw
-    return signal / denom
+    The gains are held as basic slices (views into the gain matrix) for
+    the full set and as fancy-indexed copies for a subset. A matrix
+    product over a strided view and over a contiguous copy can round
+    differently in the last bit, and the golden artifact digests were
+    written with exactly this layout.
+    """
 
+    __slots__ = ("_g_fbs_mue", "_g_cross", "_g_serve", "_mbs_fue", "_signal_mue", "_noise_mw")
 
-def capacity_bps_hz(sinr: float) -> float:
-    """Normalized Shannon capacity log2(1 + SINR) in b/s/Hz."""
-    if sinr < 0.0:
-        raise ValueError(f"SINR must be nonnegative, got {sinr}")
-    return math.log1p(sinr) / _LN2
+    def __init__(self, gains: GainMatrix, p_bs_mw: float, noise_mw: float, ids=None):
+        g = gains.as_array()
+        if ids is None:
+            self._g_fbs_mue = g[1:, 0]
+            self._g_cross = g[1:, 1:]
+            self._mbs_fue = p_bs_mw * g[0, 1:]
+        else:
+            idx = 1 + np.asarray(ids, dtype=np.intp)
+            self._g_fbs_mue = g[idx, 0]
+            self._g_cross = g[np.ix_(idx, idx)]
+            self._mbs_fue = p_bs_mw * g[0, idx]
+        self._g_serve = np.diag(self._g_cross)
+        self._signal_mue = p_bs_mw * g[0, 0]
+        self._noise_mw = noise_mw
+
+    def capacities(self, powers_mw: np.ndarray) -> tuple:
+        """Capacities (macro user, femto users) in b/s/Hz, log2(1 + SINR).
+
+        For ``(m,)`` powers: a float and an ``(m,)`` array; for ``(k, m)``
+        powers: a ``(k,)`` and a ``(k, m)`` array.
+        """
+        sinr_mue = self._signal_mue / (powers_mw @ self._g_fbs_mue + self._noise_mw)
+        if powers_mw.ndim == 1:
+            # math.log1p, not np.log1p: numpy's SIMD log1p can round the
+            # last bit differently, which would change the golden digests
+            c_mue = math.log1p(sinr_mue) / _LN2
+        else:
+            c_mue = np.log1p(sinr_mue) / _LN2
+        # one buffer carries the received power, then interference plus
+        # noise, the SINR and the capacity: a (k, m) batch allocates two
+        # arrays instead of five, so the oracle's chunk loop does not page
+        # fresh memory in for every chunk
+        signal = powers_mw * self._g_serve
+        c_fue = powers_mw @ self._g_cross
+        c_fue -= signal
+        c_fue += self._mbs_fue
+        c_fue += self._noise_mw
+        np.divide(signal, c_fue, out=c_fue)
+        np.log1p(c_fue, out=c_fue)
+        c_fue /= _LN2
+        return c_mue, c_fue
 
 
 def evaluate_capacities(
     p_bs_mw: float, fbs_powers_mw, gains: GainMatrix, noise_mw: float
 ) -> tuple[float, np.ndarray]:
-    """Vectorized capacities (macro user, all femto users) for a joint action.
+    """Capacities (macro user, all femto users) for one joint action, checked.
 
-    Matches the scalar ``mue_sinr``/``fue_sinr``/``capacity_bps_hz`` chain.
+    Matches the scalar SINR and capacity chain link by link.
     """
     powers = np.asarray(fbs_powers_mw, dtype=float)
     _check_powers(p_bs_mw, powers, gains, noise_mw)
-    g = gains.as_array()
-    i_mue = float(powers @ g[1:, 0])
-    c_mue = math.log1p(p_bs_mw * g[0, 0] / (i_mue + noise_mw)) / _LN2
-    received = powers @ g[1:, 1:]  # received_i = sum_j p_j g[j -> fue_i]
-    signal = powers * np.diag(g[1:, 1:])
-    denom = received - signal + p_bs_mw * g[0, 1:] + noise_mw
-    c_fue = np.log1p(signal / denom) / _LN2
-    return c_mue, c_fue
+    return Links(gains, p_bs_mw, noise_mw).capacities(powers)
 
 
 def _check_powers(p_bs_mw: float, powers: np.ndarray, gains: GainMatrix, noise_mw: float) -> None:

@@ -21,7 +21,6 @@ from . import __version__
 from .config import (
     ConfigError,
     ScenarioConfig,
-    build_topology,
     config_hash,
     config_to_dict,
     load_config,
@@ -29,9 +28,6 @@ from .config import (
 )
 from .coordinator import RunTrace, Simulation
 from .oracle import EnumerationCapExceeded, exhaustive_search
-from .channel import build_gain_matrix, dbm_to_mw
-from .reward import QosThresholds, available_rewards
-from .learning import make_action_set
 
 SUMMARY_COLUMNS = (
     "m",
@@ -95,11 +91,6 @@ def _effective_config(args) -> ScenarioConfig:
         overrides["output_dir"] = str(args.out)
     if overrides:
         config = replace(config, **overrides)
-    if config.reward_name not in available_rewards():
-        raise ConfigError(
-            f"reward.name {config.reward_name!r} is not registered; "
-            f"available: {', '.join(available_rewards())}"
-        )
     return config
 
 
@@ -210,22 +201,13 @@ def run_experiment(config: ScenarioConfig, *, quiet: bool = False) -> Path:
 def run_oracle(config: ScenarioConfig, *, quiet: bool = False) -> Path:
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    topology = build_topology(config)
-    gains = build_gain_matrix(
-        topology,
-        pl0=config.pl0_db,
-        exponent=config.pathloss_exponent,
-        d0=config.d0_m,
-        f_ghz=config.f_ghz,
-    )
-    actions = make_action_set(config.p_min_dbm, config.p_max_dbm, config.n_power)
-    thresholds = QosThresholds(mue=config.mue_min_capacity, fue=config.fue_thresholds())
+    sim = Simulation(config)  # the scenario, built as a run builds it
     result = exhaustive_search(
-        gains,
-        actions,
-        thresholds,
-        p_bs_mw=dbm_to_mw(config.p_bs_dbm),
-        noise_mw=dbm_to_mw(config.noise_dbm),
+        sim.gains,
+        sim.actions,
+        sim.thresholds,
+        p_bs_mw=sim.p_bs_mw,
+        noise_mw=sim.noise_mw,
         enumeration_cap=config.oracle_cap,
     )
 
@@ -256,8 +238,8 @@ def run_oracle(config: ScenarioConfig, *, quiet: bool = False) -> Path:
         ORACLE_COLUMNS,
         [
             (
-                gains.m,
-                len(actions),
+                config.m_max,
+                config.n_power,
                 result.n_enumerated,
                 int(result.feasible),
                 _fmt(result.best_objective),

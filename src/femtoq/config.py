@@ -10,6 +10,7 @@ from typing import Any
 import numpy as np
 import yaml
 
+from .reward import available_rewards
 from .topology import Position, Topology, generate_layout
 
 # Independent random streams derived from the master seed.
@@ -118,6 +119,11 @@ class ScenarioConfig:
             raise ConfigError("learning.explore_fraction must be in [0, 1]")
         if self.max_iterations < 1:
             raise ConfigError("learning.max_iterations must be >= 1")
+        if self.reward_name not in available_rewards():
+            raise ConfigError(
+                f"reward.name {self.reward_name!r} is not registered; "
+                f"available: {', '.join(available_rewards())}"
+            )
         if self.mue_capacity_exponent < 0:
             raise ConfigError("reward.mue_capacity_exponent must be >= 0")
         if self.seed_agents < 1:

@@ -1,30 +1,26 @@
 """Multi-agent simulation loop: phased admission, row sharing, convergence, metrics.
 
-The run admits stations one per density step. The first ``seed_agents``
-steps form the individual phase (zero-initialized tables, no sharing);
-later steps are cooperative: the newcomer copies the mean active row of
-same-state veterans and all same-state agents average their active rows
-after every iteration. Each density step runs until the convergence
-detector fires or the iteration budget is exhausted.
+The run admits stations one per density step. Agents never move, so each
+one only ever uses the Q-row of its own ring state: row ``agent_id`` of
+``Simulation.q``. The first ``seed_agents`` steps form the individual
+phase (zero-initialized rows, no sharing); later steps are cooperative:
+the newcomer copies the mean row of same-state veterans and all
+same-state agents average their rows after every iteration. Each density
+step runs until the convergence detector fires or the iteration budget is
+exhausted.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .channel import build_gain_matrix, dbm_to_mw
+from .channel import Links, build_gain_matrix, dbm_to_mw
 from .config import ADMISSION_STREAM, AGENT_STREAM, ScenarioConfig, build_topology
-from .learning import (
-    ActionSet,
-    LearningParams,
-    QTable,
-    epsilon_at,
-    make_action_set,
-)
+from .learning import ActionSet, LearningParams, epsilon_at, make_action_set
 from .reward import (
     QosThresholds,
     RewardFunction,
@@ -33,8 +29,6 @@ from .reward import (
     resolve_reward,
 )
 from .topology import AgentState, RingRadii, Topology, agent_state, proximity_ratio
-
-_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -51,14 +45,6 @@ class ConvergenceCriterion:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
 
 
-def detect_convergence(recent_deltas: Sequence[float], criterion: ConvergenceCriterion) -> bool:
-    """True iff a full window of history exists and stays under tolerance."""
-    if len(recent_deltas) < criterion.window:
-        return False
-    tail = recent_deltas[-criterion.window :]
-    return max(tail) < criterion.tolerance
-
-
 def jain_index(values) -> float:
     """Jain fairness index (sum x)^2 / (n sum x^2); 1 iff all values equal."""
     arr = np.asarray(values, dtype=float)
@@ -71,38 +57,18 @@ def jain_index(values) -> float:
     return total * total / (arr.size * square_sum)
 
 
-def share_active_rows(rows: Sequence[np.ndarray], states: Sequence[AgentState]) -> None:
-    """Average the active Q-row in place across agents with identical state.
-
-    Agents whose state is unique are untouched; within a group, every
-    member's row becomes the group mean (idempotent, mean preserving).
-    """
-    if len(rows) != len(states):
-        raise ValueError("rows and states must align")
-    groups: dict[AgentState, list[int]] = {}
-    for idx, state in enumerate(states):
-        groups.setdefault(state, []).append(idx)
-    for members in groups.values():
-        if len(members) < 2:
-            continue
-        mean = np.mean([rows[i] for i in members], axis=0)
-        for i in members:
-            rows[i][:] = mean
-
-
 @dataclass
 class Agent:
-    """One femto station: fixed ring state, proximity weight, own Q-table and RNG."""
+    """One femto station: fixed ring state, proximity weight and own RNG.
+
+    Its Q-row is row ``agent_id`` of ``Simulation.q``.
+    """
 
     agent_id: int
     state: AgentState
     proximity: float
     fue_threshold: float
-    qtable: QTable
     rng: np.random.Generator
-
-    def active_row(self) -> np.ndarray:
-        return self.qtable.row(self.state)
 
 
 @dataclass(frozen=True)
@@ -185,7 +151,8 @@ class SharingGroups:
     gather, ``sum(axis=1)`` and a division by the group sizes give every
     group mean. Adding a zero changes no sum, and numpy adds the gathered
     rows in the same order as ``np.mean`` over the group's rows, so the
-    means are bit-for-bit those of ``share_active_rows``.
+    means are bit-for-bit those of the per-group ``np.mean`` oracle,
+    ``tests/reference.share_active_rows``.
     """
 
     def __init__(self, states: Sequence[AgentState]):
@@ -218,10 +185,11 @@ class SharingGroups:
 class DensityStep:
     """Learning loop for one fixed set of active agents.
 
-    The active Q-rows live in an ``(m + 1, n_power)`` buffer whose last
-    row stays zero (the padding target of ``SharingGroups``); ``_qmat`` is
-    a view of its first ``m`` rows. The per-agent tables are synced back
-    when the step finishes.
+    The agents' rows of ``Simulation.q`` are gathered into an
+    ``(m + 1, n_power)`` buffer whose last row stays zero (the padding
+    target of ``SharingGroups``); ``_qmat`` is a view of its first ``m``
+    rows. ``finalize`` scatters them back into ``Simulation.q`` when the
+    step finishes.
 
     Each iteration takes one ``argmax`` per row: it is the greedy action
     and, read before the update, its entry is the row maximum of the TD
@@ -254,19 +222,13 @@ class DensityStep:
         self._agents = list(agents)
         self._agent_ids = tuple(a.agent_id for a in agents)
         m = len(agents)
-        ids = np.array(self._agent_ids)
-        g = sim.gains.as_array()
-        self._g_fbs_mue = g[1 + ids, 0].copy()
-        cross = g[np.ix_(1 + ids, 1 + ids)].copy()
-        self._g_serve = np.diag(cross).copy()
-        self._g_cross = cross
-        self._mbs_fue = sim.p_bs_mw * g[0, 1 + ids]
-        self._signal_mue = sim.p_bs_mw * g[0, 0]
+        self._ids = np.array(self._agent_ids, dtype=np.intp)
+        self._capacities = Links(sim.gains, sim.p_bs_mw, sim.noise_mw, ids=self._ids).capacities
         self._proximity = np.array([a.proximity for a in agents])
         self._fue_thresholds = np.array([a.fue_threshold for a in agents])
         n_actions = len(sim.actions)
         self._buf = np.zeros((m + 1, n_actions))
-        self._buf[:m] = [a.active_row() for a in agents]
+        self._buf[:m] = sim.q[self._ids]
         self._qmat = self._buf[:m]
         self._flat = self._qmat.reshape(-1)  # a view: the rows are contiguous
         self._row_start = np.arange(m) * n_actions
@@ -282,16 +244,6 @@ class DensityStep:
     @property
     def m(self) -> int:
         return len(self._agents)
-
-    def _capacities(self, powers_mw: np.ndarray) -> tuple[float, np.ndarray]:
-        noise = self._sim.noise_mw
-        interference = float(powers_mw @ self._g_fbs_mue)
-        c_mue = math.log1p(self._signal_mue / (interference + noise)) / _LN2
-        received = powers_mw @ self._g_cross
-        signal = powers_mw * self._g_serve
-        denom = received - signal + self._mbs_fue + noise
-        c_fue = np.log1p(signal / denom) / _LN2
-        return c_mue, c_fue
 
     def _rewards(self, c_mue: float, c_fue: np.ndarray) -> np.ndarray:
         sim = self._sim
@@ -404,9 +356,8 @@ class DensityStep:
             )
 
     def finalize(self) -> None:
-        """Write the working rows back into the agents' tables."""
-        for i, agent in enumerate(self._agents):
-            agent.active_row()[:] = self._qmat[i]
+        """Write the working rows back into ``Simulation.q``."""
+        self._sim.q[self._ids] = self._qmat
 
     def greedy_joint_action(self) -> np.ndarray:
         return np.argmax(self._qmat, axis=1)
@@ -476,6 +427,8 @@ class Simulation:
             mue=config.mue_min_capacity, fue=config.fue_thresholds()
         )
         self.mue_capacity_exponent = config.mue_capacity_exponent
+        # one Q-row per agent, indexed by agent id: the row of its ring state
+        self.q = np.zeros((config.m_max, config.n_power))
         if reward_fn is not None:
             self.reward_fn = reward_fn
             self.vectorized_reward = False
@@ -485,8 +438,6 @@ class Simulation:
             )
             self.vectorized_reward = config.reward_name == "proposed"
 
-        n_rings_mbs = len(self.radii.mbs)
-        n_rings_mue = len(self.radii.mue)
         self.agents: list[Agent] = []
         for aid in range(config.m_max):
             fbs = self.topology.fbs[aid]
@@ -496,7 +447,6 @@ class Simulation:
                     state=agent_state(fbs, self.topology.mbs, self.topology.mue, self.radii),
                     proximity=proximity_ratio(fbs, self.topology.mue, config.d_th_m),
                     fue_threshold=self.thresholds.fue[aid],
-                    qtable=QTable(n_rings_mbs, n_rings_mue, config.n_power),
                     rng=np.random.default_rng(
                         np.random.SeedSequence((config.seed, AGENT_STREAM, aid))
                     ),
@@ -556,10 +506,8 @@ class Simulation:
         self._next_density += 1
         return summary
 
-    @staticmethod
-    def _warm_start(newcomer: Agent, experienced: list[Agent]) -> None:
-        """Seed the newcomer's active row with the mean of same-state veterans."""
-        peers = [a for a in experienced if a.state == newcomer.state]
+    def _warm_start(self, newcomer: Agent, experienced: list[Agent]) -> None:
+        """Seed the newcomer's Q-row with the mean row of same-state veterans."""
+        peers = [a.agent_id for a in experienced if a.state == newcomer.state]
         if peers:
-            rows = [p.qtable.row(newcomer.state) for p in peers]
-            newcomer.active_row()[:] = np.mean(rows, axis=0)
+            self.q[newcomer.agent_id] = np.mean(self.q[peers], axis=0)

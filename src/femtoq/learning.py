@@ -1,12 +1,10 @@
-"""Tabular Q-learning core: action set, epsilon-greedy policy, one-step update."""
+"""Q-learning parameters, the discrete power action set and the exploration schedule."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from .topology import AgentState
 
 
 @dataclass(frozen=True)
@@ -55,10 +53,6 @@ class ActionSet:
     def __len__(self) -> int:
         return self.levels_dbm.size
 
-    @property
-    def step_dbm(self) -> float:
-        return float(self.levels_dbm[1] - self.levels_dbm[0])
-
 
 def make_action_set(p_min_dbm: float, p_max_dbm: float, n: int) -> ActionSet:
     """Build ``n`` uniformly spaced power levels inclusive of both endpoints."""
@@ -69,86 +63,8 @@ def make_action_set(p_min_dbm: float, p_max_dbm: float, n: int) -> ActionSet:
     return ActionSet(np.linspace(p_min_dbm, p_max_dbm, n))
 
 
-class QTable:
-    """Per-agent action-value table indexed by (ring state, action).
-
-    Rows are laid out state-major: index = mbs_ring * (N2 + 1) + mue_ring.
-    Fresh tables start at zero.
-    """
-
-    __slots__ = ("values", "n_mbs_rings", "n_mue_rings")
-
-    def __init__(self, n_mbs_rings: int, n_mue_rings: int, n_actions: int):
-        if n_mbs_rings < 1 or n_mue_rings < 1 or n_actions < 1:
-            raise ValueError("table dimensions must be positive")
-        self.n_mbs_rings = n_mbs_rings
-        self.n_mue_rings = n_mue_rings
-        self.values = np.zeros(((n_mbs_rings + 1) * (n_mue_rings + 1), n_actions))
-
-    @property
-    def n_actions(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def n_states(self) -> int:
-        return self.values.shape[0]
-
-    def state_index(self, state: AgentState) -> int:
-        if not 0 <= state.mbs_ring <= self.n_mbs_rings:
-            raise IndexError(f"mbs ring {state.mbs_ring} out of range")
-        if not 0 <= state.mue_ring <= self.n_mue_rings:
-            raise IndexError(f"mue ring {state.mue_ring} out of range")
-        return state.mbs_ring * (self.n_mue_rings + 1) + state.mue_ring
-
-    def row(self, state: AgentState) -> np.ndarray:
-        """Writable view of the row for ``state``."""
-        return self.values[self.state_index(state)]
-
-    def to_flat(self) -> np.ndarray:
-        """State-major flat copy for checkpointing."""
-        return self.values.ravel().copy()
-
-    def load_flat(self, flat: np.ndarray) -> None:
-        flat = np.asarray(flat, dtype=float)
-        if flat.size != self.values.size:
-            raise ValueError(f"expected {self.values.size} entries, got {flat.size}")
-        self.values[:] = flat.reshape(self.values.shape)
-
-
 def epsilon_at(iteration: int, params: LearningParams) -> float:
     """Exploration rate at an iteration: constant early, zero afterwards."""
     if iteration < params.explore_fraction * params.max_iterations:
         return params.epsilon
     return 0.0
-
-
-def select_action(qrow: np.ndarray, eps: float, rng: np.random.Generator) -> int:
-    """Epsilon-greedy pick over one Q-row; greedy ties go to the lowest index."""
-    if len(qrow) == 0:
-        raise ValueError("empty Q-row")
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"epsilon must be in [0, 1], got {eps}")
-    if eps > 0.0 and rng.random() < eps:
-        return int(rng.integers(len(qrow)))
-    return int(np.argmax(qrow))
-
-
-def q_update(
-    table: QTable,
-    state: AgentState,
-    action: int,
-    reward: float,
-    next_state: AgentState,
-    params: LearningParams,
-) -> float:
-    """One-step temporal-difference update; returns the new entry value.
-
-    Q(s,a) <- (1 - alpha) Q(s,a) + alpha (R + gamma max_a' Q(s',a')).
-    """
-    row = table.row(state)
-    if not 0 <= action < len(row):
-        raise IndexError(f"action {action} out of range for {len(row)} levels")
-    target = reward + params.gamma * float(table.row(next_state).max())
-    new_value = (1.0 - params.alpha) * float(row[action]) + params.alpha * target
-    row[action] = new_value
-    return new_value

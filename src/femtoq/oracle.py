@@ -8,16 +8,14 @@ maximizer, flagged infeasible, when no assignment meets the QoS).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import GainMatrix
+from .channel import GainMatrix, Links
 from .learning import ActionSet
 from .reward import QosThresholds
 
-_LN2 = math.log(2.0)
 _CHUNK = 1 << 15
 
 
@@ -64,12 +62,7 @@ def exhaustive_search(
             f"{enumeration_cap}"
         )
 
-    g = gains.as_array()
-    g_fbs_mue = g[1:, 0]
-    g_mbs_fue = g[0, 1:]
-    g_cross = g[1:, 1:]
-    g_serve = np.diag(g_cross)
-    signal_mue = p_bs_mw * g[0, 0]
+    links = Links(gains, p_bs_mw, noise_mw)
     q_fue = np.asarray(thresholds.fue)
     # digit weights: agent 0 is the most significant digit, so ascending
     # enumeration order is lexicographic in the index vector
@@ -80,14 +73,7 @@ def exhaustive_search(
     for start in range(0, total, _CHUNK):
         flat = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
         digits = (flat[:, None] // weights[None, :]) % n
-        powers = actions.levels_mw[digits]
-
-        interference = powers @ g_fbs_mue
-        c_mue = np.log1p(signal_mue / (interference + noise_mw)) / _LN2
-        received = powers @ g_cross
-        signal = powers * g_serve
-        denom = received - signal + p_bs_mw * g_mbs_fue + noise_mw
-        c_fue = np.log1p(signal / denom) / _LN2
+        c_mue, c_fue = links.capacities(actions.levels_mw[digits])
         sums = c_fue.sum(axis=1)
 
         k = int(np.argmax(sums))
@@ -103,14 +89,7 @@ def exhaustive_search(
     feasible_found = best_feasible[1] is not None
     objective, flat_index = best_feasible if feasible_found else best_any
     indices = tuple(int(d) for d in (flat_index // weights) % n)
-
-    powers = actions.levels_mw[np.array(indices)]
-    interference = float(powers @ g_fbs_mue)
-    c_mue = math.log1p(signal_mue / (interference + noise_mw)) / _LN2
-    received = powers @ g_cross
-    signal = powers * g_serve
-    denom = received - signal + p_bs_mw * g_mbs_fue + noise_mw
-    c_fue = np.log1p(signal / denom) / _LN2
+    c_mue, c_fue = links.capacities(actions.levels_mw[np.array(indices)])
 
     return OracleResult(
         best_action=indices,

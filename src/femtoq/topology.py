@@ -62,10 +62,6 @@ class RingRadii:
             if any(a >= b for a, b in zip(radii, radii[1:])):
                 raise ValueError(f"{name} ring radii must be strictly ascending")
 
-    @property
-    def n_states(self) -> int:
-        return (len(self.mbs) + 1) * (len(self.mue) + 1)
-
 
 class AgentState(NamedTuple):
     """Discretized location: ring index around the macro station and the macro user."""

@@ -1,0 +1,131 @@
+"""Scalar reference implementations that the tests hold the simulator to.
+
+Each function restates one idea the package computes in batched form, one
+link, one agent or one group at a time, so a test can compare the two.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Sequence
+
+import numpy as np
+
+from femtoq.channel import GainMatrix, _check_powers
+from femtoq.coordinator import ConvergenceCriterion
+from femtoq.learning import LearningParams
+from femtoq.topology import AgentState
+
+_LN2 = math.log(2.0)
+
+
+# -- per-link gains ------------------------------------------------------
+
+
+def _check_index(gains: GainMatrix, i: int) -> None:
+    if not 0 <= i < gains.m:
+        raise IndexError(f"femto index {i} out of range for M={gains.m}")
+
+
+def mbs_to_mue(gains: GainMatrix) -> float:
+    return float(gains.as_array()[0, 0])
+
+
+def fbs_to_mue(gains: GainMatrix, i: int) -> float:
+    _check_index(gains, i)
+    return float(gains.as_array()[1 + i, 0])
+
+
+def mbs_to_fue(gains: GainMatrix, i: int) -> float:
+    _check_index(gains, i)
+    return float(gains.as_array()[0, 1 + i])
+
+
+def fbs_to_fue(gains: GainMatrix, j: int, i: int) -> float:
+    """Gain from femto station ``j`` to the user served by station ``i``."""
+    _check_index(gains, j)
+    _check_index(gains, i)
+    return float(gains.as_array()[1 + j, 1 + i])
+
+
+# -- SINR and capacity ---------------------------------------------------
+
+
+def mue_sinr(p_bs_mw: float, fbs_powers_mw, gains: GainMatrix, noise_mw: float) -> float:
+    """SINR at the macro user under the given joint transmit powers."""
+    powers = np.asarray(fbs_powers_mw, dtype=float)
+    _check_powers(p_bs_mw, powers, gains, noise_mw)
+    interference = sum(powers[j] * fbs_to_mue(gains, j) for j in range(gains.m))
+    return p_bs_mw * mbs_to_mue(gains) / (interference + noise_mw)
+
+
+def fue_sinr(i: int, p_bs_mw: float, fbs_powers_mw, gains: GainMatrix, noise_mw: float) -> float:
+    """SINR at femto user ``i`` under the given joint transmit powers."""
+    powers = np.asarray(fbs_powers_mw, dtype=float)
+    _check_powers(p_bs_mw, powers, gains, noise_mw)
+    _check_index(gains, i)
+    signal = powers[i] * fbs_to_fue(gains, i, i)
+    cross = sum(powers[j] * fbs_to_fue(gains, j, i) for j in range(gains.m) if j != i)
+    return signal / (p_bs_mw * mbs_to_fue(gains, i) + cross + noise_mw)
+
+
+def capacity_bps_hz(sinr: float) -> float:
+    """Normalized Shannon capacity log2(1 + SINR) in b/s/Hz."""
+    if sinr < 0.0:
+        raise ValueError(f"SINR must be nonnegative, got {sinr}")
+    return math.log1p(sinr) / _LN2
+
+
+# -- learning ------------------------------------------------------------
+
+
+def select_action(qrow: np.ndarray, eps: float, rng: np.random.Generator) -> int:
+    """Epsilon-greedy pick over one Q-row; greedy ties go to the lowest index."""
+    if len(qrow) == 0:
+        raise ValueError("empty Q-row")
+    if not 0.0 <= eps <= 1.0:
+        raise ValueError(f"epsilon must be in [0, 1], got {eps}")
+    if eps > 0.0 and rng.random() < eps:
+        return int(rng.integers(len(qrow)))
+    return int(np.argmax(qrow))
+
+
+def q_update(row: np.ndarray, action: int, reward: float, params: LearningParams) -> float:
+    """One-step temporal-difference update of an agent's Q-row; returns the new entry.
+
+    Q(a) <- (1 - alpha) Q(a) + alpha (R + gamma max_a' Q(a')). An agent
+    never leaves its ring state, so the next state's row is this row.
+    """
+    if not 0 <= action < len(row):
+        raise IndexError(f"action {action} out of range for {len(row)} levels")
+    target = reward + params.gamma * float(row.max())
+    new_value = (1.0 - params.alpha) * float(row[action]) + params.alpha * target
+    row[action] = new_value
+    return new_value
+
+
+def share_active_rows(rows: Sequence[np.ndarray], states: Sequence[AgentState]) -> None:
+    """Average the Q-rows in place across agents with identical state.
+
+    Agents whose state is unique are untouched; within a group, every
+    member's row becomes the group mean (idempotent, mean preserving).
+    """
+    if len(rows) != len(states):
+        raise ValueError("rows and states must align")
+    groups: dict[AgentState, list[int]] = {}
+    for idx, state in enumerate(states):
+        groups.setdefault(state, []).append(idx)
+    for members in groups.values():
+        if len(members) < 2:
+            continue
+        mean = np.mean([rows[i] for i in members], axis=0)
+        for i in members:
+            rows[i][:] = mean
+
+
+def detect_convergence(recent_deltas: Sequence[float], criterion: ConvergenceCriterion) -> bool:
+    """True iff a full window of history exists and stays under tolerance."""
+    if len(recent_deltas) < criterion.window:
+        return False
+    tail = recent_deltas[-criterion.window :]
+    return max(tail) < criterion.tolerance

@@ -9,18 +9,25 @@ from hypothesis import strategies as st
 
 from femtoq.channel import (
     GainMatrix,
+    Links,
     build_gain_matrix,
-    capacity_bps_hz,
     dbm_to_mw,
     evaluate_capacities,
-    fue_sinr,
     gain_from_pathloss_db,
     indoor_to_outdoor_pathloss_db,
-    mue_sinr,
     mw_to_dbm,
     residential_pathloss_db,
 )
 from femtoq.topology import Position, Topology
+from reference import (
+    capacity_bps_hz,
+    fbs_to_fue,
+    fbs_to_mue,
+    fue_sinr,
+    mbs_to_fue,
+    mbs_to_mue,
+    mue_sinr,
+)
 
 REL = 1e-9
 
@@ -106,10 +113,10 @@ class TestGainMatrix:
             fue=(Position(0.0, 5.0),),
         )
         gm = build_gain_matrix(topo)
-        assert gm.mbs_to_mue() == pytest.approx(10 ** (-6.23), rel=REL)
-        assert gm.fbs_to_fue(0, 0) == pytest.approx(10 ** (-6.23), rel=REL)
-        assert gm.mbs_to_fue(0) == pytest.approx(10 ** (-6.23), rel=REL)
-        assert gm.fbs_to_mue(0) == pytest.approx(10 ** (-8.3472), rel=REL)
+        assert mbs_to_mue(gm) == pytest.approx(10 ** (-6.23), rel=REL)
+        assert fbs_to_fue(gm, 0, 0) == pytest.approx(10 ** (-6.23), rel=REL)
+        assert mbs_to_fue(gm, 0) == pytest.approx(10 ** (-6.23), rel=REL)
+        assert fbs_to_mue(gm, 0) == pytest.approx(10 ** (-8.3472), rel=REL)
 
     @pytest.mark.parametrize("m", [1, 3, 7])
     def test_completeness_and_range(self, m):
@@ -207,3 +214,39 @@ class TestVectorizedEvaluation:
         for i in range(m):
             expected = capacity_bps_hz(fue_sinr(i, p_bs, powers, g, noise))
             assert c_fue[i] == pytest.approx(expected, rel=1e-12)
+
+
+class TestLinks:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_batch_matches_rows_and_scalar_chain(self, seed):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 8))
+        g = GainMatrix(rng.uniform(1e-10, 1.0, size=(m + 1, m + 1)))
+        p_bs, noise = 1e4, 3.98e-11
+        batch = rng.uniform(0.0, 300.0, size=(6, m))
+        c_mue, c_fue = Links(g, p_bs, noise).capacities(batch)
+        assert c_mue.shape == (6,) and c_fue.shape == (6, m)
+        for k, powers in enumerate(batch):
+            row_mue, row_fue = Links(g, p_bs, noise).capacities(powers)
+            assert c_mue[k] == pytest.approx(row_mue, rel=1e-12)
+            assert c_fue[k] == pytest.approx(row_fue, rel=1e-12)
+            assert c_mue[k] == pytest.approx(
+                capacity_bps_hz(mue_sinr(p_bs, powers, g, noise)), rel=1e-12
+            )
+            for i in range(m):
+                expected = capacity_bps_hz(fue_sinr(i, p_bs, powers, g, noise))
+                assert c_fue[k, i] == pytest.approx(expected, rel=1e-12)
+
+    def test_subset_matches_its_own_gain_matrix(self):
+        # stations [2, 0] of a 3-station matrix are the 2-station matrix of
+        # exactly those links, in that order
+        rng = np.random.default_rng(11)
+        g = rng.uniform(1e-10, 1.0, size=(4, 4))
+        ids = [2, 0]
+        keep = [0] + [1 + i for i in ids]
+        sub = GainMatrix(g[np.ix_(keep, keep)])
+        powers = rng.uniform(0.0, 300.0, size=2)
+        c_mue, c_fue = Links(GainMatrix(g), 1e4, 3.98e-11, ids=ids).capacities(powers)
+        expected_mue, expected_fue = Links(sub, 1e4, 3.98e-11).capacities(powers)
+        assert c_mue == pytest.approx(expected_mue, rel=1e-12)
+        assert c_fue == pytest.approx(expected_fue, rel=1e-12)

@@ -97,6 +97,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=fragment):
             config_from_dict({section: {key: value}})
 
+    def test_unknown_reward_rejected(self):
+        with pytest.raises(ConfigError, match="reward.name 'mystery' is not registered"):
+            config_from_dict({"reward": {"name": "mystery"}})
+
     def test_explicit_layout_must_be_paired(self):
         with pytest.raises(ConfigError, match="given together"):
             config_from_dict({"layout": {"fbs_positions": [[0.0, 0.0]]}, "phases": {"m_max": 1}})

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from femtoq.channel import capacity_bps_hz, dbm_to_mw, fue_sinr, mue_sinr
+from femtoq.channel import dbm_to_mw
 from femtoq.config import ScenarioConfig
 from femtoq.coordinator import (
     ConvergenceCriterion,
@@ -13,12 +13,18 @@ from femtoq.coordinator import (
     SharingGroups,
     Simulation,
     check_constraints,
-    detect_convergence,
     jain_index,
-    share_active_rows,
 )
 from femtoq.reward import QosThresholds
 from femtoq.topology import AgentState
+from reference import (
+    capacity_bps_hz,
+    detect_convergence,
+    fue_sinr,
+    mue_sinr,
+    q_update,
+    share_active_rows,
+)
 
 
 def tiny_config(**overrides):
@@ -185,6 +191,29 @@ class TestDensityStep:
         assert record.powers_dbm == (config.p_min_dbm,)
         assert record.rewards[0] != 0.0
 
+    def test_update_equals_reference_q_update(self):
+        config = tiny_config(m_max=4, seed_agents=4)
+        sim = Simulation(config)
+        sim.q[:] = np.random.default_rng(0).normal(size=sim.q.shape)
+        step = DensityStep(sim, list(sim.agents), sharing=False)
+        before = step._qmat.copy()
+        step.step(0)
+        record = step.record()
+        for i, (action, reward) in enumerate(zip(record.actions, record.rewards)):
+            row = before[i].copy()
+            q_update(row, action, reward, sim.params)
+            assert np.array_equal(step._qmat[i], row)
+
+    def test_finalize_writes_rows_back(self):
+        config = tiny_config(m_max=3, seed_agents=3)
+        sim = Simulation(config)
+        assert sim.q.shape == (3, config.n_power) and not sim.q.any()
+        step = DensityStep(sim, [sim.agents[2], sim.agents[0]], sharing=False)
+        step.step(0)
+        step.finalize()
+        assert np.array_equal(sim.q[[2, 0]], step._qmat)
+        assert not sim.q[1].any()
+
     def test_one_update_per_agent_per_step(self):
         config = tiny_config(m_max=3, seed_agents=3)
         sim = Simulation(config)
@@ -225,7 +254,7 @@ class TestDensityStep:
         # inf - inf at an entry no update touched makes the full-matrix delta NaN
         config = tiny_config(m_max=3, seed_agents=3, explore_fraction=0.0)
         sim = Simulation(config)
-        sim.agents[0].active_row()[-1] = -np.inf
+        sim.q[0, -1] = -np.inf
         step = DensityStep(sim, list(sim.agents), sharing=False)
         for it in range(3):
             with np.errstate(invalid="ignore"):
@@ -278,17 +307,17 @@ class TestSimulationProtocol:
         sim = Simulation(config)
         veteran = sim.agents[0]
         newcomer = next(a for a in sim.agents[1:] if a.state == veteran.state)
-        veteran.active_row()[:] = np.arange(config.n_power, dtype=float)
-        Simulation._warm_start(newcomer, [veteran])
-        assert np.array_equal(newcomer.active_row(), veteran.active_row())
+        sim.q[veteran.agent_id] = np.arange(config.n_power, dtype=float)
+        sim._warm_start(newcomer, [veteran])
+        assert np.array_equal(sim.q[newcomer.agent_id], sim.q[veteran.agent_id])
 
     def test_warm_start_without_peer_leaves_zeros(self):
         config = tiny_config(m_max=4, seed_agents=2, seed=2)
         sim = Simulation(config)
         loner = sim.agents[1]
         others = [a for a in sim.agents if a is not loner and a.state != loner.state]
-        Simulation._warm_start(loner, others)
-        assert np.all(loner.active_row() == 0.0)
+        sim._warm_start(loner, others)
+        assert np.all(sim.q[loner.agent_id] == 0.0)
 
     def test_individual_phase_never_shares(self):
         # force all seed agents into one state; without sharing their rows
@@ -300,7 +329,7 @@ class TestSimulationProtocol:
             pytest.skip("no shared state in this layout")
         sim.run_individual_phase()
         same = [a for a in sim.agents if states.count(a.state) > 1]
-        rows = [a.active_row() for a in same]
+        rows = [sim.q[a.agent_id] for a in same]
         assert not all(np.array_equal(rows[0], r) for r in rows[1:])
 
     def test_full_run_deterministic(self):
@@ -324,7 +353,7 @@ class TestSimulationProtocol:
         same = [a for a in sim.agents if states.count(a.state) > 1]
         if len(same) < 2:
             pytest.skip("no shared state in this layout")
-        rows = [a.active_row() for a in same]
+        rows = [sim.q[a.agent_id] for a in same]
         assert not all(np.array_equal(rows[0], r) for r in rows[1:])
 
     def test_record_budget_respected(self):

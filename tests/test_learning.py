@@ -1,19 +1,12 @@
-"""Tests for the tabular Q-learning core."""
+"""Tests for the Q-learning parameters, action set, schedule and update rule."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from femtoq.learning import (
-    LearningParams,
-    QTable,
-    epsilon_at,
-    make_action_set,
-    q_update,
-    select_action,
-)
-from femtoq.topology import AgentState
+from femtoq.learning import LearningParams, epsilon_at, make_action_set
+from reference import q_update, select_action
 
 REL = 1e-9
 DEFAULTS = LearningParams()
@@ -23,7 +16,7 @@ class TestActionSet:
     def test_table_defaults(self):
         actions = make_action_set(-20.0, 25.0, 31)
         assert len(actions) == 31
-        assert actions.step_dbm == pytest.approx(1.5, rel=REL)
+        assert actions.levels_dbm[1] - actions.levels_dbm[0] == pytest.approx(1.5, rel=REL)
         assert actions.levels_dbm[0] == -20.0
         assert actions.levels_dbm[-1] == 25.0
         assert actions.levels_dbm[13] == pytest.approx(-0.5, rel=REL)
@@ -107,93 +100,53 @@ class TestSelectAction:
         assert seq_a == seq_b
 
 
-def fresh_table(n_actions=4):
-    return QTable(3, 3, n_actions)
-
-
 class TestQUpdate:
     def test_full_overwrite(self):
-        table = fresh_table()
+        row = np.array([5.0, 6.0, 7.0, 8.0])
         params = LearningParams(alpha=1.0, gamma=0.0)
-        state = AgentState(1, 2)
-        table.row(state)[:] = [5.0, 6.0, 7.0, 8.0]
-        assert q_update(table, state, 2, -3.5, state, params) == pytest.approx(-3.5)
+        assert q_update(row, 2, -3.5, params) == pytest.approx(-3.5)
 
     def test_alpha_zero_is_identity(self):
-        table = fresh_table()
-        state = AgentState(0, 0)
-        table.row(state)[:] = [1.0, 2.0, 3.0, 4.0]
-        before = table.values.copy()
-        q_update(table, state, 1, 100.0, state, LearningParams(alpha=0.0))
-        assert np.array_equal(table.values, before)
+        row = np.array([1.0, 2.0, 3.0, 4.0])
+        before = row.copy()
+        q_update(row, 1, 100.0, LearningParams(alpha=0.0))
+        assert np.array_equal(row, before)
 
     def test_hand_computed_update(self):
-        table = fresh_table()
+        # 0.5 * 2 + 0.5 * (1 + 0.9 * 4) = 3.3
+        row = np.array([2.0, 4.0, 1.0, 2.0])
         params = LearningParams(alpha=0.5, gamma=0.9)
-        state, nxt = AgentState(0, 0), AgentState(0, 1)
-        table.row(state)[0] = 2.0
-        table.row(nxt)[:] = [0.0, 4.0, 1.0, 2.0]
-        assert q_update(table, state, 0, 1.0, nxt, params) == pytest.approx(3.3, rel=REL)
+        assert q_update(row, 0, 1.0, params) == pytest.approx(3.3, rel=REL)
 
     def test_exactly_one_entry_changes(self):
-        table = fresh_table()
-        state = AgentState(2, 2)
-        before = table.values.copy()
-        q_update(table, state, 3, 1.0, state, DEFAULTS)
-        changed = np.argwhere(table.values != before)
-        assert changed.shape[0] == 1
-        assert changed[0][0] == table.state_index(state) and changed[0][1] == 3
+        row = np.zeros(4)
+        q_update(row, 3, 1.0, DEFAULTS)
+        assert np.flatnonzero(row).tolist() == [3]
 
     def test_out_of_range_indices_rejected(self):
-        table = fresh_table()
         with pytest.raises(IndexError):
-            q_update(table, AgentState(0, 0), 7, 1.0, AgentState(0, 0), DEFAULTS)
-        with pytest.raises(IndexError):
-            q_update(table, AgentState(4, 0), 0, 1.0, AgentState(0, 0), DEFAULTS)
+            q_update(np.zeros(4), 7, 1.0, DEFAULTS)
 
     def test_fixed_point_constant_reward(self):
-        # repeated updates with fixed state/action and constant reward
-        # contract to R / (1 - gamma)
-        table = fresh_table(1)
+        # repeated updates of one action with a constant reward contract
+        # to R / (1 - gamma)
+        row = np.zeros(1)
         params = LearningParams(alpha=0.5, gamma=0.9)
-        state = AgentState(1, 1)
         reward = 2.5
         for _ in range(2000):
-            q_update(table, state, 0, reward, state, params)
-        assert table.row(state)[0] == pytest.approx(reward / (1 - params.gamma), abs=1e-6)
+            q_update(row, 0, reward, params)
+        assert row[0] == pytest.approx(reward / (1 - params.gamma), abs=1e-6)
 
     @given(st.lists(st.floats(min_value=-10, max_value=10), min_size=1, max_size=300))
     @settings(max_examples=40)
     def test_bounded_by_reward_scale(self, rewards):
-        table = fresh_table(3)
+        row = np.zeros(3)
         params = LearningParams(alpha=0.5, gamma=0.9)
-        state = AgentState(0, 0)
         rng = np.random.default_rng(0)
         for r in rewards:
-            q_update(table, state, int(rng.integers(3)), r, state, params)
+            q_update(row, int(rng.integers(3)), r, params)
         bound = max(abs(r) for r in rewards) / (1 - params.gamma) + 1e-9
-        assert np.all(np.abs(table.values) <= bound)
-
-
-class TestQTable:
-    def test_initialized_to_zero(self):
-        table = fresh_table()
-        assert np.all(table.values == 0.0)
-        assert table.n_states == 16
-
-    def test_flat_round_trip_state_major(self):
-        table = fresh_table(2)
-        table.row(AgentState(1, 0))[:] = [1.0, 2.0]
-        flat = table.to_flat()
-        # state-major layout: row index = mbs_ring * 4 + mue_ring
-        assert flat[4 * 2] == 1.0 and flat[4 * 2 + 1] == 2.0
-        other = fresh_table(2)
-        other.load_flat(flat)
-        assert np.array_equal(other.values, table.values)
-
-    def test_load_flat_rejects_wrong_size(self):
-        with pytest.raises(ValueError):
-            fresh_table().load_flat(np.zeros(3))
+        assert np.all(np.abs(row) <= bound)
 
 
 class TestLearningParams:

@@ -1,14 +1,13 @@
 """Tests for the exhaustive joint-action search baseline."""
 
-import math
-
 import numpy as np
 import pytest
 
-from femtoq.channel import GainMatrix, capacity_bps_hz, evaluate_capacities
+from femtoq.channel import GainMatrix, evaluate_capacities
 from femtoq.learning import make_action_set
 from femtoq.oracle import EnumerationCapExceeded, exhaustive_search
 from femtoq.reward import QosThresholds
+from reference import capacity_bps_hz
 
 NOISE = 1.0
 
