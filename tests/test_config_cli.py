@@ -91,6 +91,17 @@ class TestConfigValidation:
             ("convergence", "tolerance", 0.0, "tolerance"),
             ("phases", "m_max", 0, "m_max"),
             ("run", "trace_stride", 0, "trace_stride"),
+            ("learning", "gamma", 1.1, "gamma"),
+            ("learning", "epsilon", 2.0, "epsilon"),
+            ("learning", "max_iterations", 0, "max_iterations"),
+            ("rings", "mue_radii", [50.0, 15.0, 125.0], "mue_radii"),
+            ("rings", "d_th_m", 0.0, "d_th_m"),
+            ("actions", "p_min_dbm", 25.0, "p_min_dbm"),
+            ("qos", "fue_min_capacity", 0.0, "fue_min_capacity"),
+            ("layout", "fbs_spacing_m", 0.0, "spacing"),
+            ("layout", "fue_radius_m", 0.0, "user radius"),
+            ("layout", "fue_min_distance_m", 0.0, "fue_min_distance_m"),
+            ("convergence", "window", 0, "convergence.window"),
         ],
     )
     def test_invariant_violations_name_the_key(self, section, key, value, fragment):
@@ -108,6 +119,8 @@ class TestConfigValidation:
     def test_per_station_thresholds_validated(self):
         with pytest.raises(ConfigError, match="fue_min_capacity"):
             config_from_dict({"qos": {"fue_min_capacity": [1.0, 1.0]}, "phases": {"m_max": 3}})
+        with pytest.raises(ConfigError, match="fue_min_capacity"):
+            config_from_dict({"qos": {"fue_min_capacity": [1.0, -1.0]}, "phases": {"m_max": 2}})
         ok = config_from_dict({"qos": {"fue_min_capacity": [1.0, 2.0]}, "phases": {"m_max": 2}})
         assert ok.fue_thresholds() == (1.0, 2.0)
 
