@@ -27,7 +27,6 @@ from .config import (
 from .coordinator import (
     Agent,
     ConstraintReport,
-    ConvergenceCriterion,
     DensityStep,
     DensitySummary,
     IterationRecord,
@@ -38,14 +37,7 @@ from .coordinator import (
 )
 from .learning import ActionSet, LearningParams, epsilon_at, make_action_set
 from .oracle import EnumerationCapExceeded, OracleResult, exhaustive_search
-from .reward import (
-    QosThresholds,
-    RewardInputs,
-    available_rewards,
-    proposed_reward,
-    register_reward,
-    resolve_reward,
-)
+from .reward import QosThresholds
 from .topology import (
     AgentState,
     Position,

@@ -298,5 +298,5 @@ def main(argv=None) -> int:
     return 2  # pragma: no cover - argparse enforces the command set
 
 
-def entry_point() -> None:  # pragma: no cover - thin wrapper
+if __name__ == "__main__":
     sys.exit(main())

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, fields, replace
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 import yaml
 
-from .reward import available_rewards
+from .reward import REWARDS
 from .topology import Position, Topology, generate_layout
 
 # Independent random streams derived from the master seed.
@@ -80,8 +81,40 @@ class ScenarioConfig:
         self._validate()
 
     def _validate(self) -> None:
-        if self.n_power < 2:
-            raise ConfigError(f"actions.n_power must be >= 2, got {self.n_power}")
+        """Check every field's type, then every rule: the one place config rules live."""
+        for name, key, is_valid, wanted in _TYPE_CHECKS:
+            value = getattr(self, name)
+            if not is_valid(value):
+                raise ConfigError(f"{key} {wanted}, got {value!r}")
+        keys = _YAML_KEYS
+        for name, low in (
+            ("n_power", 2),
+            ("max_iterations", 1),
+            ("mue_capacity_exponent", 0),
+            ("seed_agents", 1),
+            ("m_max", 1),
+            ("convergence_window", 1),
+            ("seed", 0),
+            ("trace_stride", 1),
+            ("oracle_cap", 1),
+        ):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{keys[name]} must be >= {low}, got {getattr(self, name)}")
+        for name in (
+            "d_th_m",
+            "pathloss_exponent",
+            "d0_m",
+            "f_ghz",
+            "mue_min_capacity",
+            "convergence_tolerance",
+            "fbs_spacing_m",
+            "fue_radius_m",
+        ):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{keys[name]} must be positive, got {getattr(self, name)}")
+        for name in ("alpha", "gamma", "epsilon", "explore_fraction"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"{keys[name]} must be in [0, 1], got {getattr(self, name)}")
         if not self.p_min_dbm < self.p_max_dbm:
             raise ConfigError("actions.p_min_dbm must be below actions.p_max_dbm")
         for name, radii in (("mbs_radii", self.mbs_radii), ("mue_radii", self.mue_radii)):
@@ -89,53 +122,14 @@ class ScenarioConfig:
                 raise ConfigError(f"rings.{name} must be nonempty and positive")
             if any(a >= b for a, b in zip(radii, radii[1:])):
                 raise ConfigError(f"rings.{name} not ascending")
-        if self.d_th_m <= 0:
-            raise ConfigError("rings.d_th_m must be positive")
-        for key, value in (
-            ("pathloss.exponent", self.pathloss_exponent),
-            ("pathloss.d0_m", self.d0_m),
-            ("pathloss.f_ghz", self.f_ghz),
-        ):
-            if value <= 0:
-                raise ConfigError(f"{key} must be positive, got {value}")
-        if self.mue_min_capacity <= 0:
-            raise ConfigError("qos.mue_min_capacity must be positive")
-        fue_q = self.fue_min_capacity
-        if isinstance(fue_q, (int, float)):
-            if fue_q <= 0:
-                raise ConfigError("qos.fue_min_capacity must be positive")
-        else:
-            if len(fue_q) != self.m_max or any(q <= 0 for q in fue_q):
-                raise ConfigError(
-                    "qos.fue_min_capacity list must be positive with one entry per station"
-                )
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ConfigError(f"learning.alpha must be in [0, 1], got {self.alpha}")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ConfigError(f"learning.gamma must be in [0, 1], got {self.gamma}")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ConfigError(f"learning.epsilon must be in [0, 1], got {self.epsilon}")
-        if not 0.0 <= self.explore_fraction <= 1.0:
-            raise ConfigError("learning.explore_fraction must be in [0, 1]")
-        if self.max_iterations < 1:
-            raise ConfigError("learning.max_iterations must be >= 1")
-        if self.reward_name not in available_rewards():
+        fue_q = self.fue_thresholds()
+        if len(fue_q) != self.m_max or any(q <= 0 for q in fue_q):
+            raise ConfigError("qos.fue_min_capacity must be positive: one value or one per station")
+        if self.reward_name not in REWARDS:
             raise ConfigError(
                 f"reward.name {self.reward_name!r} is not registered; "
-                f"available: {', '.join(available_rewards())}"
+                f"available: {', '.join(REWARDS)}"
             )
-        if self.mue_capacity_exponent < 0:
-            raise ConfigError("reward.mue_capacity_exponent must be >= 0")
-        if self.seed_agents < 1:
-            raise ConfigError("phases.seed_agents must be >= 1")
-        if self.m_max < 1:
-            raise ConfigError("phases.m_max must be >= 1")
-        if self.convergence_window < 1:
-            raise ConfigError("convergence.window must be >= 1")
-        if self.convergence_tolerance <= 0:
-            raise ConfigError("convergence.tolerance must be positive")
-        if self.fbs_spacing_m <= 0 or self.fue_radius_m <= 0:
-            raise ConfigError("layout spacing and user radius must be positive")
         if not 0 < self.fue_min_distance_m < self.fue_radius_m:
             raise ConfigError("layout.fue_min_distance_m must lie in (0, fue_radius_m)")
         if (self.fbs_positions is None) != (self.fue_positions is None):
@@ -147,10 +141,6 @@ class ScenarioConfig:
                 raise ConfigError(
                     "explicit layout lists must each have phases.m_max entries"
                 )
-        if self.trace_stride < 1:
-            raise ConfigError("run.trace_stride must be >= 1")
-        if self.oracle_cap < 1:
-            raise ConfigError("run.oracle_cap must be >= 1")
 
     def fue_thresholds(self) -> tuple[float, ...]:
         """Per-station QoS thresholds, broadcasting a scalar config value."""
@@ -202,8 +192,62 @@ _SCHEMA: dict[str, dict[str, str]] = {
     },
 }
 
-_TUPLE_FIELDS = {"mbs_radii", "mue_radii", "mbs_position", "mue_position"}
+_YAML_KEYS = {
+    field_name: f"{section}.{key}"
+    for section, entries in _SCHEMA.items()
+    for key, field_name in entries.items()
+}
 _POSITION_LIST_FIELDS = {"fbs_positions", "fue_positions"}
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value: Any) -> bool:
+    return isinstance(value, float) and math.isfinite(value) or _is_int(value)
+
+
+def _finite_tuple(value: Any, n: int | None = None) -> bool:
+    return (
+        isinstance(value, tuple)
+        and (n is None or len(value) == n)
+        and all(_is_finite(v) for v in value)
+    )
+
+
+def _type_check(name: str, default: Any) -> tuple[Callable[[Any], bool], str]:
+    """The type test of a field, and what it asks for.
+
+    A field takes the type of its default: a bool, an integer (not a bool),
+    a string, a finite number (an integer too) or a tuple of finite numbers.
+    ``fue_min_capacity`` also takes one number per station, and the
+    explicit layout lists are None or tuples of (x, y) pairs.
+    """
+    if isinstance(default, bool):
+        return (lambda v: isinstance(v, bool)), "must be true or false"
+    if isinstance(default, int):
+        return _is_int, "must be an integer"
+    if isinstance(default, str):
+        return (lambda v: isinstance(v, str)), "must be a string"
+    if name in ("mbs_position", "mue_position"):
+        return (lambda v: _finite_tuple(v, 2)), "must be an [x, y] pair of finite numbers"
+    if name in _POSITION_LIST_FIELDS:
+        return (
+            lambda v: v is None or isinstance(v, tuple) and all(_finite_tuple(p, 2) for p in v)
+        ), "must be a list of [x, y] pairs of finite numbers"
+    if name == "fue_min_capacity":
+        return (lambda v: _is_finite(v) or _finite_tuple(v)), "must be a finite number or list"
+    if isinstance(default, tuple):
+        return _finite_tuple, "must be a list of finite numbers"
+    return _is_finite, "must be a finite number"
+
+
+# (field, YAML key, type test, what it asks for) for every field
+_TYPE_CHECKS = tuple(
+    (f.name, _YAML_KEYS[f.name], *_type_check(f.name, f.default))
+    for f in fields(ScenarioConfig)
+)
 
 
 def config_from_dict(data: dict[str, Any]) -> ScenarioConfig:
@@ -232,26 +276,20 @@ def config_from_dict(data: dict[str, Any]) -> ScenarioConfig:
 
 
 def _coerce(field_name: str, value: Any, where: str) -> Any:
+    """YAML lists become tuples, their numbers floats; ``_validate`` checks the rest."""
     if value is None:
         if field_name in _POSITION_LIST_FIELDS:
             return None
         raise ConfigError(f"{where} must not be null")
-    if field_name in _TUPLE_FIELDS:
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{where} must be a list")
-        return tuple(float(v) for v in value)
-    if field_name in _POSITION_LIST_FIELDS:
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{where} must be a list of [x, y] pairs")
-        out = []
-        for item in value:
-            if not isinstance(item, (list, tuple)) or len(item) != 2:
-                raise ConfigError(f"{where} entries must be [x, y] pairs")
-            out.append((float(item[0]), float(item[1])))
-        return tuple(out)
-    if field_name == "fue_min_capacity" and isinstance(value, (list, tuple)):
-        return tuple(float(v) for v in value)
+    if isinstance(value, (list, tuple)):
+        return tuple(_coerce_entry(v) for v in value)
     return value
+
+
+def _coerce_entry(value: Any) -> Any:
+    if isinstance(value, (list, tuple)):
+        return tuple(_coerce_entry(v) for v in value)
+    return float(value) if _is_int(value) else value
 
 
 def config_to_dict(config: ScenarioConfig) -> dict[str, Any]:

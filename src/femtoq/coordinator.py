@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -21,28 +22,8 @@ import numpy as np
 from .channel import Links, build_gain_matrix, dbm_to_mw
 from .config import ADMISSION_STREAM, AGENT_STREAM, ScenarioConfig, build_topology
 from .learning import ActionSet, LearningParams, epsilon_at, make_action_set
-from .reward import (
-    QosThresholds,
-    RewardFunction,
-    RewardInputs,
-    proposed_reward_vector,
-    resolve_reward,
-)
+from .reward import REWARDS, QosThresholds, RewardFunction
 from .topology import AgentState, RingRadii, Topology, agent_state, proximity_ratio
-
-
-@dataclass(frozen=True)
-class ConvergenceCriterion:
-    """Declare convergence when every Q change in a trailing window is small."""
-
-    window: int = 500
-    tolerance: float = 1e-3
-
-    def __post_init__(self):
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
-        if self.tolerance <= 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
 
 
 def jain_index(values) -> float:
@@ -245,33 +226,6 @@ class DensityStep:
     def m(self) -> int:
         return len(self._agents)
 
-    def _rewards(self, c_mue: float, c_fue: np.ndarray) -> np.ndarray:
-        sim = self._sim
-        if sim.vectorized_reward:
-            return proposed_reward_vector(
-                c_fue,
-                c_mue,
-                self._proximity,
-                self._fue_thresholds,
-                sim.thresholds.mue,
-                sim.mue_capacity_exponent,
-            )
-        return np.array(
-            [
-                sim.reward_fn(
-                    RewardInputs(
-                        fue_capacity=float(c),
-                        mue_capacity=c_mue,
-                        proximity=float(p),
-                        fue_threshold=float(q),
-                        mue_threshold=sim.thresholds.mue,
-                    )
-                )
-                for c, p, q in zip(c_fue, self._proximity, self._fue_thresholds)
-            ],
-            dtype=float,
-        )
-
     def step(self, iteration: int) -> None:
         """Run one synchronous iteration: select, evaluate, reward, update, share."""
         sim = self._sim
@@ -288,7 +242,9 @@ class DensityStep:
                     actions[i] = integers(n_actions)
 
         c_mue, c_fue = self._capacities(sim.actions.levels_mw[actions])
-        rewards = self._rewards(c_mue, c_fue)
+        rewards = sim.reward_fn(
+            c_fue, c_mue, self._proximity, self._fue_thresholds, sim.thresholds.mue
+        )
 
         pos = self._row_start + actions
         old = flat[pos]
@@ -302,7 +258,7 @@ class DensityStep:
             flat[pos] = new
         delta = float(change.max()) if self._finite else math.nan
         self._finite = math.isfinite(delta)
-        self._streak = self._streak + 1 if delta < sim.criterion.tolerance else 0
+        self._streak = self._streak + 1 if delta < sim.config.convergence_tolerance else 0
 
         self._last = (iteration, actions, c_mue, c_fue, rewards, delta)
 
@@ -329,7 +285,7 @@ class DensityStep:
         """
         sim = self._sim
         stride = sim.config.trace_stride
-        window = sim.criterion.window
+        window = sim.config.convergence_window
         step = self.step
         records: list[IterationRecord] = []
         for iteration in range(sim.params.max_iterations):
@@ -359,12 +315,9 @@ class DensityStep:
         """Write the working rows back into ``Simulation.q``."""
         self._sim.q[self._ids] = self._qmat
 
-    def greedy_joint_action(self) -> np.ndarray:
-        return np.argmax(self._qmat, axis=1)
-
     def _summary(self) -> DensitySummary:
         sim = self._sim
-        actions = self.greedy_joint_action()
+        actions = self._qmat.argmax(axis=1)
         powers_mw = sim.actions.levels_mw[actions]
         c_mue, c_fue = self._capacities(powers_mw)
         phase = "cooperative" if self.m > sim.effective_seed_agents else "individual"
@@ -385,7 +338,16 @@ class DensityStep:
 
 
 class Simulation:
-    """Full experiment: build the scenario, then sweep density with admission."""
+    """Full experiment: build the scenario, then sweep density with admission.
+
+    ``reward_fn`` is called once per iteration as ``reward_fn(c_fue, c_mue,
+    proximity, q_fue, q_mue)``: the active agents' femto capacities, the
+    macro capacity, the agents' proximity ratios and femto QoS thresholds
+    as ``(m,)`` arrays in agent order, then the macro threshold. It returns
+    the ``(m,)`` float array of rewards. It belongs to this run only; by
+    default it is ``REWARDS[config.reward_name]`` with the config's
+    ``mue_capacity_exponent``.
+    """
 
     def __init__(
         self,
@@ -410,9 +372,6 @@ class Simulation:
             explore_fraction=config.explore_fraction,
             max_iterations=config.max_iterations,
         )
-        self.criterion = ConvergenceCriterion(
-            window=config.convergence_window, tolerance=config.convergence_tolerance
-        )
         self.radii = RingRadii(mbs=config.mbs_radii, mue=config.mue_radii)
         self.gains = build_gain_matrix(
             self.topology,
@@ -429,14 +388,11 @@ class Simulation:
         self.mue_capacity_exponent = config.mue_capacity_exponent
         # one Q-row per agent, indexed by agent id: the row of its ring state
         self.q = np.zeros((config.m_max, config.n_power))
-        if reward_fn is not None:
-            self.reward_fn = reward_fn
-            self.vectorized_reward = False
-        else:
-            self.reward_fn = resolve_reward(
-                config.reward_name, mue_capacity_exponent=config.mue_capacity_exponent
+        if reward_fn is None:
+            reward_fn = partial(
+                REWARDS[config.reward_name], mue_capacity_exponent=config.mue_capacity_exponent
             )
-            self.vectorized_reward = config.reward_name == "proposed"
+        self.reward_fn = reward_fn
 
         self.agents: list[Agent] = []
         for aid in range(config.m_max):

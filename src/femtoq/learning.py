@@ -9,27 +9,13 @@ import numpy as np
 
 @dataclass(frozen=True)
 class LearningParams:
-    """Hyperparameters for the per-agent Q-learning loop."""
+    """Hyperparameters for the per-agent Q-learning loop, as checked by config."""
 
     alpha: float = 0.5
     gamma: float = 0.9
     epsilon: float = 0.1
     explore_fraction: float = 0.8
     max_iterations: int = 50_000
-
-    def __post_init__(self):
-        # alpha = 0 is allowed so "no learning" runs can exercise the
-        # convergence detector
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
-        if not 0.0 <= self.explore_fraction <= 1.0:
-            raise ValueError(f"explore_fraction must be in [0, 1], got {self.explore_fraction}")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
 
 
 class ActionSet:
@@ -56,10 +42,6 @@ class ActionSet:
 
 def make_action_set(p_min_dbm: float, p_max_dbm: float, n: int) -> ActionSet:
     """Build ``n`` uniformly spaced power levels inclusive of both endpoints."""
-    if n < 2:
-        raise ValueError(f"need at least two power levels, got {n}")
-    if not p_min_dbm < p_max_dbm:
-        raise ValueError(f"p_min must be below p_max, got {p_min_dbm} >= {p_max_dbm}")
     return ActionSet(np.linspace(p_min_dbm, p_max_dbm, n))
 
 

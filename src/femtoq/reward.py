@@ -1,15 +1,17 @@
 """QoS- and proximity-aware reward shaping for the power-control agents.
 
-The built-in reward trades the served user's capacity against quadratic
+The proposed reward trades the served user's capacity against quadratic
 deviations from the QoS targets, weighted by how close the station sits
-to the macro user. Alternative rewards can be registered by name and
-selected from the scenario config.
+to the macro user. It is computed for all agents of one iteration at once.
+``REWARDS`` is the read-only table of the names ``reward.name`` may take;
+a run that needs another reward passes its own ``reward_fn`` to
+``Simulation``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from types import MappingProxyType
 from typing import Callable
 
 import numpy as np
@@ -17,90 +19,37 @@ import numpy as np
 
 @dataclass(frozen=True)
 class QosThresholds:
-    """Minimum normalized capacities (b/s/Hz) required per user."""
+    """Minimum normalized capacities (b/s/Hz) required per user, as checked by config."""
 
     mue: float
     fue: tuple[float, ...]
 
-    def __post_init__(self):
-        if self.mue <= 0:
-            raise ValueError(f"macro QoS threshold must be positive, got {self.mue}")
-        if len(self.fue) < 1 or any(q <= 0 for q in self.fue):
-            raise ValueError("femto QoS thresholds must be positive and nonempty")
 
-    @classmethod
-    def uniform(cls, m: int, q_fue: float, q_mue: float) -> "QosThresholds":
-        return cls(mue=q_mue, fue=(q_fue,) * m)
-
-
-@dataclass(frozen=True)
-class RewardInputs:
-    """Per-agent observation handed to a reward function for one iteration."""
-
-    fue_capacity: float
-    mue_capacity: float
-    proximity: float
-    fue_threshold: float
-    mue_threshold: float
-
-    def __post_init__(self):
-        if self.fue_capacity < 0 or self.mue_capacity < 0:
-            raise ValueError("capacities must be nonnegative")
-        if self.proximity <= 0:
-            raise ValueError(f"proximity ratio must be positive, got {self.proximity}")
-
-
-RewardFunction = Callable[[RewardInputs], float]
-
-
-def proposed_reward(inputs: RewardInputs, mue_capacity_exponent: int = 2) -> float:
-    """Capacity gain minus quadratic QoS deviations, proximity weighted.
-
-    Stations near the macro user (proximity < 1) see their capacity gain
-    shrunk and the macro deviation penalty amplified; distant stations the
-    reverse. The macro capacity enters the gain term raised to
-    ``mue_capacity_exponent`` (squared by default) to prioritize it.
-    """
-    if inputs.proximity <= 0:
-        raise ValueError("proximity ratio must be positive")
-    gain = inputs.proximity * inputs.fue_capacity * inputs.mue_capacity**mue_capacity_exponent
-    mue_penalty = (inputs.mue_capacity - inputs.mue_threshold) ** 2 / inputs.proximity
-    fue_penalty = (inputs.fue_capacity - inputs.fue_threshold) ** 2
-    return gain - mue_penalty - fue_penalty
-
-
-_REGISTRY: dict[str, RewardFunction] = {}
-
-
-def register_reward(name: str, fn: RewardFunction) -> None:
-    """Register a reward function selectable by name from the config."""
-    _REGISTRY[name] = fn
-
-
-def available_rewards() -> tuple[str, ...]:
-    return ("proposed",) + tuple(sorted(_REGISTRY))
-
-
-def resolve_reward(name: str, *, mue_capacity_exponent: int = 2) -> RewardFunction:
-    if name == "proposed":
-        return partial(proposed_reward, mue_capacity_exponent=mue_capacity_exponent)
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(available_rewards())
-        raise ValueError(f"unknown reward {name!r}; available: {known}") from None
+# (c_fue, c_mue, proximity, q_fue, q_mue) -> one reward per agent
+RewardFunction = Callable[[np.ndarray, float, np.ndarray, np.ndarray, float], np.ndarray]
 
 
 def proposed_reward_vector(
-    fue_capacities: np.ndarray,
-    mue_capacity: float,
+    c_fue: np.ndarray,
+    c_mue: float,
     proximity: np.ndarray,
-    fue_thresholds: np.ndarray,
-    mue_threshold: float,
+    q_fue: np.ndarray,
+    q_mue: float,
     mue_capacity_exponent: int = 2,
 ) -> np.ndarray:
-    """Vectorized ``proposed_reward`` over all agents of one iteration."""
-    gain = proximity * fue_capacities * mue_capacity**mue_capacity_exponent
-    mue_penalty = (mue_capacity - mue_threshold) ** 2 / proximity
-    fue_penalty = (fue_capacities - fue_thresholds) ** 2
+    """Capacity gain minus quadratic QoS deviations, proximity weighted, per agent.
+
+    ``c_fue``, ``proximity`` and ``q_fue`` hold one entry per agent; the
+    macro capacity ``c_mue`` and threshold ``q_mue`` are shared. Stations
+    near the macro user (proximity < 1) see their capacity gain shrunk and
+    the macro deviation penalty amplified; distant stations the reverse.
+    The macro capacity enters the gain term raised to
+    ``mue_capacity_exponent`` (squared by default) to prioritize it.
+    """
+    gain = proximity * c_fue * c_mue**mue_capacity_exponent
+    mue_penalty = (c_mue - q_mue) ** 2 / proximity
+    fue_penalty = (c_fue - q_fue) ** 2
     return gain - mue_penalty - fue_penalty
+
+
+REWARDS = MappingProxyType({"proposed": proposed_reward_vector})

@@ -48,19 +48,10 @@ class Topology:
 
 @dataclass(frozen=True)
 class RingRadii:
-    """Ring boundaries (meters) around the macro station and the macro user."""
+    """Ring boundaries (meters) around the macro station and user, as checked by config."""
 
     mbs: tuple[float, ...]
     mue: tuple[float, ...]
-
-    def __post_init__(self):
-        for name, radii in (("mbs", self.mbs), ("mue", self.mue)):
-            if len(radii) == 0:
-                raise ValueError(f"{name} ring radii must be nonempty")
-            if any(r <= 0 for r in radii):
-                raise ValueError(f"{name} ring radii must be positive")
-            if any(a >= b for a, b in zip(radii, radii[1:])):
-                raise ValueError(f"{name} ring radii must be strictly ascending")
 
 
 class AgentState(NamedTuple):
@@ -98,8 +89,6 @@ def proximity_ratio(fbs: Position, mue: Position, d_th: float) -> float:
     Below 1 the station sits inside the macro user's vicinity; the value
     weights the reward's fairness terms, so a zero distance is rejected.
     """
-    if d_th <= 0:
-        raise ValueError(f"vicinity threshold must be positive, got {d_th}")
     d = distance(fbs, mue)
     if d == 0.0:
         raise ValueError("femto station coincides with the macro user")
@@ -123,17 +112,9 @@ def generate_layout(
     among the stations. Users are uniform over a disk of ``fue_radius``
     around their station, re-drawn until at least ``min_fue_distance``
     away so serving links keep a physical (sub-unity) gain. Deterministic
-    for a fixed seed.
+    for a fixed seed. The arguments are taken as ``ScenarioConfig`` checks
+    them: ``0 < min_fue_distance < fue_radius``, or the draw never ends.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if spacing <= 0:
-        raise ValueError(f"spacing must be positive, got {spacing}")
-    if fue_radius <= 0:
-        raise ValueError(f"user radius must be positive, got {fue_radius}")
-    if not 0 < min_fue_distance < fue_radius:
-        raise ValueError("min_fue_distance must lie in (0, fue_radius)")
-
     cols = math.ceil(math.sqrt(m))
     grid = [( (i % cols) * spacing, (i // cols) * spacing ) for i in range(m)]
     cx = sum(p[0] for p in grid) / m

@@ -12,7 +12,6 @@ from typing import Sequence
 import numpy as np
 
 from femtoq.channel import GainMatrix, _check_powers
-from femtoq.coordinator import ConvergenceCriterion
 from femtoq.learning import LearningParams
 from femtoq.topology import AgentState
 
@@ -123,9 +122,27 @@ def share_active_rows(rows: Sequence[np.ndarray], states: Sequence[AgentState]) 
             rows[i][:] = mean
 
 
-def detect_convergence(recent_deltas: Sequence[float], criterion: ConvergenceCriterion) -> bool:
+def detect_convergence(recent_deltas: Sequence[float], window: int, tolerance: float) -> bool:
     """True iff a full window of history exists and stays under tolerance."""
-    if len(recent_deltas) < criterion.window:
+    if len(recent_deltas) < window:
         return False
-    tail = recent_deltas[-criterion.window :]
-    return max(tail) < criterion.tolerance
+    tail = recent_deltas[-window:]
+    return max(tail) < tolerance
+
+
+# -- reward --------------------------------------------------------------
+
+
+def proposed_reward(
+    c_fue: float,
+    c_mue: float,
+    proximity: float,
+    q_fue: float,
+    q_mue: float,
+    mue_capacity_exponent: int = 2,
+) -> float:
+    """The proposed reward of one agent: proximity-weighted gain minus QoS deviations."""
+    gain = proximity * c_fue * c_mue**mue_capacity_exponent
+    mue_penalty = (c_mue - q_mue) ** 2 / proximity
+    fue_penalty = (c_fue - q_fue) ** 2
+    return gain - mue_penalty - fue_penalty

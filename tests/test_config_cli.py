@@ -2,11 +2,16 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 import yaml
 
+import femtoq
 from femtoq.cli import main
 from femtoq.config import (
     ConfigError,
@@ -98,15 +103,35 @@ class TestConfigValidation:
             ("rings", "d_th_m", 0.0, "d_th_m"),
             ("actions", "p_min_dbm", 25.0, "p_min_dbm"),
             ("qos", "fue_min_capacity", 0.0, "fue_min_capacity"),
-            ("layout", "fbs_spacing_m", 0.0, "spacing"),
-            ("layout", "fue_radius_m", 0.0, "user radius"),
+            ("layout", "fbs_spacing_m", 0.0, "layout.fbs_spacing_m"),
+            ("layout", "fue_radius_m", 0.0, "layout.fue_radius_m"),
             ("layout", "fue_min_distance_m", 0.0, "fue_min_distance_m"),
             ("convergence", "window", 0, "convergence.window"),
+            # wrong types and non-finite numbers
+            ("actions", "n_power", 3.5, "actions.n_power must be an integer"),
+            ("phases", "m_max", 2.5, "phases.m_max must be an integer"),
+            ("learning", "max_iterations", 10.5, "learning.max_iterations must be an integer"),
+            ("run", "seed", 1.5, "run.seed must be an integer"),
+            ("run", "seed", -1, "run.seed must be >= 0"),
+            ("run", "trace_stride", 2.5, "run.trace_stride must be an integer"),
+            ("phases", "seed_agents", True, "phases.seed_agents must be an integer"),
+            ("phases", "sharing_enabled", "false", "phases.sharing_enabled must be true or false"),
+            ("learning", "alpha", True, "learning.alpha must be a finite number"),
+            ("radio", "p_bs_dbm", float("nan"), "radio.p_bs_dbm must be a finite number"),
+            ("rings", "d_th_m", float("nan"), "rings.d_th_m must be a finite number"),
+            ("qos", "mue_min_capacity", float("inf"), "qos.mue_min_capacity must be a finite"),
+            ("layout", "mue_position", [1.0, 2.0, 3.0], "layout.mue_position must be an"),
+            ("layout", "mbs_position", [1.0], "layout.mbs_position must be an"),
         ],
     )
     def test_invariant_violations_name_the_key(self, section, key, value, fragment):
         with pytest.raises(ConfigError, match=fragment):
             config_from_dict({section: {key: value}})
+
+    def test_yaml_integers_fill_float_fields(self):
+        config = config_from_dict({"learning": {"alpha": 1}, "rings": {"mue_radii": [15, 50]}})
+        assert config.alpha == 1
+        assert config.mue_radii == (15.0, 50.0)
 
     def test_unknown_reward_rejected(self):
         with pytest.raises(ConfigError, match="reward.name 'mystery' is not registered"):
@@ -175,6 +200,24 @@ class TestCli:
         path = write_yaml(tmp_path / "c.yaml", {"rings": {"mbs_radii": [3, 2, 1]}})
         assert main(["validate-config", "--config", path]) == 1
         assert "not ascending" in capsys.readouterr().err
+
+    def test_module_entry_point(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(Path(femtoq.__file__).parents[1])}
+
+        def cli(*args):
+            return subprocess.run(
+                [sys.executable, "-m", "femtoq.cli", *args], env=env, capture_output=True, text=True
+            )
+
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("radio: {p_bs_dbm: .nan}", encoding="utf-8")
+        refused = cli("validate-config", "--config", str(bad))
+        assert refused.returncode == 1
+        assert "radio.p_bs_dbm must be a finite number" in refused.stderr
+        out = tmp_path / "out"
+        config = write_yaml(tmp_path / "c.yaml", FAST_RUN)
+        assert cli("run", "--config", config, "--out", str(out), "--quiet").returncode == 0
+        assert (out / "summary.csv").exists()
 
     def test_run_writes_artifacts(self, tmp_path):
         config_path = write_yaml(tmp_path / "c.yaml", FAST_RUN)

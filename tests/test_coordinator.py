@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from femtoq.channel import dbm_to_mw
 from femtoq.config import ScenarioConfig
 from femtoq.coordinator import (
-    ConvergenceCriterion,
     DensityStep,
     SharingGroups,
     Simulation,
@@ -141,34 +140,34 @@ class TestSharingGroups:
 
 
 class TestDetectConvergence:
-    CRIT = ConvergenceCriterion(window=5, tolerance=1e-3)
+    CRIT = dict(window=5, tolerance=1e-3)
 
     def test_all_zero_deltas(self):
-        assert detect_convergence([0.0] * 5, self.CRIT)
+        assert detect_convergence([0.0] * 5, **self.CRIT)
 
     def test_any_large_delta_blocks(self):
-        assert not detect_convergence([0.0, 0.0, 1e-3, 0.0, 0.0], self.CRIT)
+        assert not detect_convergence([0.0, 0.0, 1e-3, 0.0, 0.0], **self.CRIT)
 
     def test_insufficient_history(self):
-        assert not detect_convergence([0.0] * 4, self.CRIT)
+        assert not detect_convergence([0.0] * 4, **self.CRIT)
 
     def test_only_trailing_window_counts(self):
-        assert detect_convergence([5.0, 0.0, 0.0, 0.0, 0.0, 0.0], self.CRIT)
+        assert detect_convergence([5.0, 0.0, 0.0, 0.0, 0.0, 0.0], **self.CRIT)
 
     def test_streak_counter_equivalence(self):
         # the simulation's O(1) streak counter must fire exactly when the
         # windowed detector would
         rng = np.random.default_rng(3)
         deltas = list(rng.choice([0.0, 1e-4, 5e-3], size=200, p=[0.5, 0.3, 0.2]))
-        crit = ConvergenceCriterion(window=7, tolerance=1e-3)
+        window, tolerance = 7, 1e-3
         streak, fired_streak = 0, None
         for i, d in enumerate(deltas):
-            streak = streak + 1 if d < crit.tolerance else 0
-            if fired_streak is None and streak >= crit.window:
+            streak = streak + 1 if d < tolerance else 0
+            if fired_streak is None and streak >= window:
                 fired_streak = i
         fired_window = None
         for i in range(len(deltas)):
-            if fired_window is None and detect_convergence(deltas[: i + 1], crit):
+            if fired_window is None and detect_convergence(deltas[: i + 1], window, tolerance):
                 fired_window = i
         assert fired_streak == fired_window
 
@@ -261,13 +260,19 @@ class TestDensityStep:
                 step.step(it)
             assert np.isnan(step.record().max_q_delta)
 
+    def test_default_reward_takes_the_config_exponent(self):
+        sim = Simulation(tiny_config(mue_capacity_exponent=1))
+        one = np.array([1.0])
+        rewards = sim.reward_fn(np.array([2.0]), 3.0, one, one, 1.0)
+        assert rewards.tolist() == [2.0 * 3.0 - 4.0 - 1.0]
+
     def test_record_before_any_step_rejected(self):
         sim = Simulation(tiny_config())
         with pytest.raises(RuntimeError):
             DensityStep(sim, [sim.agents[0]], sharing=False).record()
 
     def test_non_finite_q_value_raises_after_density_step(self):
-        sim = Simulation(tiny_config(), reward_fn=lambda _: float("nan"))
+        sim = Simulation(tiny_config(), reward_fn=lambda c_fue, *_: np.full_like(c_fue, np.nan))
         with pytest.raises(FloatingPointError, match=r"agent 0 .* m=1 after 300 iterations"):
             sim.run()
 

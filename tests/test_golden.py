@@ -8,6 +8,7 @@ CHANGES.md.
 
 import hashlib
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -64,13 +65,37 @@ def test_artifact_digests(sharing, tmp_path):
     assert max(sizes.values()) >= 2
     assert any((s.iterations_to_converge - 1) % STRIDE for s in trace.summaries)
 
-    write_run_artifacts(config, trace, tmp_path)
-    digests = {
+    assert run_digests(config, trace, tmp_path) == GOLDEN[sharing]
+
+
+def run_digests(config, trace, out_dir):
+    write_run_artifacts(config, trace, out_dir)
+    return {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in sorted(tmp_path.iterdir())
+        for p in sorted(out_dir.iterdir())
         if p.name == "summary.csv" or p.name.startswith("density_")
     }
-    assert digests == GOLDEN[sharing]
+
+
+def test_custom_reward_stays_with_its_run(tmp_path):
+    shapes, outputs = [], []
+
+    def qos_gap(c_fue, c_mue, proximity, q_fue, q_mue):
+        shapes.append((c_fue.shape, proximity.shape, q_fue.shape))
+        outputs.append(c_fue - q_fue + (c_mue - q_mue))
+        return outputs[-1]
+
+    trace = Simulation(replace(golden_config(True), trace_stride=1), reward_fn=qos_gap).run()
+
+    # one call per iteration, with one entry per active agent
+    steps = trace.summaries
+    assert shapes == [((s.m,),) * 3 for s in steps for _ in range(s.iterations_to_converge)]
+    recorded = [rec.rewards for m in trace.records for rec in trace.records[m]]
+    assert recorded == [tuple(r.tolist()) for r in outputs]
+
+    # a default run built afterwards in the same process still gives the golden
+    config = golden_config(True)
+    assert run_digests(config, Simulation(config).run(), tmp_path) == GOLDEN[True]
 
 
 # 15^4 = 50,625 joint actions: two chunks of the oracle's enumeration

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from femtoq.config import ConfigError, ScenarioConfig
 from femtoq.learning import LearningParams, epsilon_at, make_action_set
 from reference import q_update, select_action
 
@@ -150,6 +151,7 @@ class TestQUpdate:
 
 
 class TestLearningParams:
+    # LearningParams carries what ScenarioConfig has checked
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -163,5 +165,5 @@ class TestLearningParams:
         ],
     )
     def test_rejects_out_of_range(self, kwargs):
-        with pytest.raises(ValueError):
-            LearningParams(**kwargs)
+        with pytest.raises(ConfigError, match=f"learning.{next(iter(kwargs))}"):
+            ScenarioConfig(**kwargs)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from femtoq.config import ConfigError, ScenarioConfig
 from femtoq.topology import (
     AgentState,
     Position,
@@ -67,8 +68,9 @@ class TestAgentState:
         assert (n1 + 1) * (n2 + 1) == 16
 
     def test_radii_must_ascend(self):
-        with pytest.raises(ValueError):
-            RingRadii(mbs=(150.0, 50.0, 400.0), mue=(15.0, 50.0, 125.0))
+        # RingRadii carries what ScenarioConfig has checked
+        with pytest.raises(ConfigError, match="rings.mbs_radii not ascending"):
+            ScenarioConfig(mbs_radii=(150.0, 50.0, 400.0))
 
 
 class TestProximityRatio:
@@ -83,8 +85,9 @@ class TestProximityRatio:
             proximity_ratio(Position(1.0, 1.0), Position(1.0, 1.0), 25.0)
 
     def test_nonpositive_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            proximity_ratio(Position(1.0, 0.0), Position(0.0, 0.0), 0.0)
+        # the vicinity threshold reaches proximity_ratio from ScenarioConfig
+        with pytest.raises(ConfigError, match="rings.d_th_m must be positive"):
+            ScenarioConfig(d_th_m=0.0)
 
     @given(st.floats(min_value=0.1, max_value=1000.0))
     def test_inside_vicinity_iff_below_one(self, d):
