@@ -29,7 +29,7 @@ from .coordinator import (
     ConstraintReport,
     DensityStep,
     DensitySummary,
-    IterationRecord,
+    DensityTrace,
     RunTrace,
     Simulation,
     check_constraints,

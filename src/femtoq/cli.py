@@ -26,9 +26,10 @@ from .config import (
     load_config,
     save_config,
 )
-from .coordinator import RunTrace, Simulation
+from .coordinator import DensityTrace, RunTrace, Simulation
 from .oracle import EnumerationCapExceeded, exhaustive_search
 
+# DensitySummary fields, in the order summary.csv lists them
 SUMMARY_COLUMNS = (
     "m",
     "c_mue_final",
@@ -105,70 +106,43 @@ def _fmt(value) -> str:
     return repr(float(value)) if isinstance(value, float) else str(value)
 
 
+def _density_rows(density: DensityTrace, dbm_text: list[str]):
+    """One CSV row per agent per kept iteration, in ``_fmt``'s text; ``dbm_text[a]`` is level a."""
+    columns = (c.tolist() for c in density.columns())
+    for iteration, actions, c_mue, c_fue, rewards, delta in zip(*columns):
+        c_mue, delta = repr(c_mue), repr(delta)
+        for aid, a, c, r in zip(density.agent_ids, actions, c_fue, rewards):
+            yield iteration, aid, dbm_text[a], c_mue, repr(c), repr(r), delta
+
+
 def write_run_artifacts(config: ScenarioConfig, trace: RunTrace, out_dir: Path) -> dict:
-    """Write summary, per-density traces, plot data, and the manifest."""
+    """Write the summary, per-density traces, per-station plot data and manifest.
+
+    Each density CSV is formatted from its trace's columns a row at a time.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
+    dbm_text = [repr(p) for p in trace.levels_dbm.tolist()]
     save_config(config, out_dir / "effective_config.yaml")
 
     _write_csv(
         out_dir / "summary.csv",
         SUMMARY_COLUMNS,
-        [
-            (
-                s.m,
-                _fmt(s.c_mue_final),
-                _fmt(s.min_fue_capacity),
-                _fmt(s.sum_capacity),
-                _fmt(s.jain),
-                s.iterations_to_converge,
-            )
+        ([_fmt(getattr(s, name)) for name in SUMMARY_COLUMNS] for s in trace.summaries),
+    )
+
+    for m, density in trace.records.items():
+        _write_csv(
+            out_dir / f"density_{m:02d}.csv", DENSITY_COLUMNS, _density_rows(density, dbm_text)
+        )
+
+    _write_csv(
+        out_dir / "plot_fue_capacities.csv",
+        ("m", "agent_id", "c_fue"),
+        (
+            (s.m, aid, _fmt(c))
             for s in trace.summaries
-        ],
-    )
-
-    for m, records in trace.records.items():
-        rows = []
-        for rec in records:
-            for aid, p_dbm, c_fue, rwd in zip(
-                rec.agent_ids, rec.powers_dbm, rec.fue_capacities, rec.rewards
-            ):
-                rows.append(
-                    (
-                        rec.iteration,
-                        aid,
-                        _fmt(p_dbm),
-                        _fmt(rec.c_mue),
-                        _fmt(c_fue),
-                        _fmt(rwd),
-                        _fmt(rec.max_q_delta),
-                    )
-                )
-        _write_csv(out_dir / f"density_{m:02d}.csv", DENSITY_COLUMNS, rows)
-
-    _write_csv(
-        out_dir / "plot_mue_capacity.csv",
-        ("m", "c_mue"),
-        [(s.m, _fmt(s.c_mue_final)) for s in trace.summaries],
-    )
-    fue_rows = []
-    for s in trace.summaries:
-        for aid, c in zip(s.agent_ids, s.fue_capacities):
-            fue_rows.append((s.m, aid, _fmt(c)))
-    _write_csv(out_dir / "plot_fue_capacities.csv", ("m", "agent_id", "c_fue"), fue_rows)
-    _write_csv(
-        out_dir / "plot_sum_capacity.csv",
-        ("m", "sum_capacity"),
-        [(s.m, _fmt(s.sum_capacity)) for s in trace.summaries],
-    )
-    _write_csv(
-        out_dir / "plot_convergence_iterations.csv",
-        ("m", "iterations_to_converge"),
-        [(s.m, s.iterations_to_converge) for s in trace.summaries],
-    )
-    _write_csv(
-        out_dir / "plot_jain_index.csv",
-        ("m", "jain"),
-        [(s.m, _fmt(s.jain)) for s in trace.summaries],
+            for aid, c in zip(s.agent_ids, s.fue_capacities)
+        ),
     )
 
     manifest = {

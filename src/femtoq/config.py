@@ -198,6 +198,7 @@ _YAML_KEYS = {
     for key, field_name in entries.items()
 }
 _POSITION_LIST_FIELDS = {"fbs_positions", "fue_positions"}
+_FLOAT_FIELDS = {f.name for f in fields(ScenarioConfig) if isinstance(f.default, float)}
 
 
 def _is_int(value: Any) -> bool:
@@ -276,14 +277,17 @@ def config_from_dict(data: dict[str, Any]) -> ScenarioConfig:
 
 
 def _coerce(field_name: str, value: Any, where: str) -> Any:
-    """YAML lists become tuples, their numbers floats; ``_validate`` checks the rest."""
+    """YAML lists become tuples, ints in float fields floats; ``_validate`` checks the rest."""
     if value is None:
         if field_name in _POSITION_LIST_FIELDS:
             return None
         raise ConfigError(f"{where} must not be null")
-    if isinstance(value, (list, tuple)):
-        return tuple(_coerce_entry(v) for v in value)
-    return value
+    try:
+        if isinstance(value, (list, tuple)):
+            return tuple(_coerce_entry(v) for v in value)
+        return _coerce_entry(value) if field_name in _FLOAT_FIELDS else value
+    except OverflowError:
+        raise ConfigError(f"{where} must be a finite number") from None
 
 
 def _coerce_entry(value: Any) -> Any:

@@ -13,7 +13,7 @@ exhausted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Sequence
 
@@ -53,20 +53,6 @@ class Agent:
 
 
 @dataclass(frozen=True)
-class IterationRecord:
-    """Joint outcome of one simulation iteration."""
-
-    iteration: int
-    agent_ids: tuple[int, ...]
-    actions: tuple[int, ...]
-    powers_dbm: tuple[float, ...]
-    c_mue: float
-    fue_capacities: tuple[float, ...]
-    rewards: tuple[float, ...]
-    max_q_delta: float
-
-
-@dataclass(frozen=True)
 class DensitySummary:
     """Greedy-policy outcome of one density step after its learning run."""
 
@@ -85,17 +71,48 @@ class DensitySummary:
 
 
 @dataclass
+class DensityTrace:
+    """The kept iterations of one density step: one row each, in columns.
+
+    A step of k iterations keeps iterations 0, s, 2s, ... below k for
+    ``trace_stride`` s, and iteration k - 1 too when it is off the stride.
+    That is at most ceil(max_iterations / s) + 1 rows, the block
+    ``DensityStep`` allocates before it runs.
+    """
+
+    agent_ids: tuple[int, ...]
+    iteration: np.ndarray  # (n,) int
+    actions: np.ndarray  # (n, m) int, indices into the action set
+    c_mue: np.ndarray  # (n,)
+    c_fue: np.ndarray  # (n, m)
+    rewards: np.ndarray  # (n, m)
+    max_q_delta: np.ndarray  # (n,)
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """``iteration, actions, c_mue, c_fue, rewards, max_q_delta``, in that order."""
+        return tuple(getattr(self, f.name) for f in fields(self)[1:])
+
+    def head(self, n: int) -> DensityTrace:
+        """A copy of the first ``n`` rows, which frees the rest of the block."""
+        return DensityTrace(self.agent_ids, *(c[:n].copy() for c in self.columns()))
+
+    def __len__(self) -> int:
+        return len(self.iteration)
+
+
+@dataclass
 class RunTrace:
-    """Everything recorded over a full density sweep."""
+    """Everything recorded over a full density sweep; ``levels_dbm[a]`` is action a in dBm."""
 
     admission_order: tuple[int, ...]
+    levels_dbm: np.ndarray
     summaries: list[DensitySummary] = field(default_factory=list)
-    records: dict[int, list[IterationRecord]] = field(default_factory=dict)
+    records: dict[int, DensityTrace] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class ConstraintReport:
-    """Satisfaction of the QoS and power constraints for one record."""
+    """Satisfaction of the QoS and power constraints for one density step."""
 
     mue_satisfied: bool
     fue_satisfied: tuple[bool, ...]
@@ -107,17 +124,16 @@ class ConstraintReport:
 
 
 def check_constraints(
-    record, thresholds: QosThresholds, p_max_dbm: float
+    summary: DensitySummary, thresholds: QosThresholds, p_max_dbm: float
 ) -> ConstraintReport:
-    """Evaluate the QoS/power constraints for an iteration record or summary."""
-    c_mue = record.c_mue if hasattr(record, "c_mue") else record.c_mue_final
+    """Evaluate the QoS/power constraints for the greedy outcome of a density step."""
     fue_ok = tuple(
         c >= thresholds.fue[aid]
-        for aid, c in zip(record.agent_ids, record.fue_capacities)
+        for aid, c in zip(summary.agent_ids, summary.fue_capacities)
     )
-    power_ok = tuple(p <= p_max_dbm for p in record.powers_dbm)
+    power_ok = tuple(p <= p_max_dbm for p in summary.powers_dbm)
     return ConstraintReport(
-        mue_satisfied=c_mue >= thresholds.mue,
+        mue_satisfied=summary.c_mue_final >= thresholds.mue,
         fue_satisfied=fue_ok,
         power_satisfied=power_ok,
     )
@@ -193,9 +209,10 @@ class DensityStep:
     non-trivial step: it measures the schedule, not how fast learning
     settled.
 
-    ``step`` keeps the arrays of the last iteration; ``record`` turns them
-    into an ``IterationRecord``, which ``run`` does only for the iterations
-    it keeps.
+    ``step`` holds on to the arrays of the last iteration and writes no
+    trace. ``keep`` copies them into row ``kept`` of ``trace``, a block
+    allocated once for every row ``run`` can keep; ``run`` keeps on the
+    stride and returns the block trimmed to its ``kept`` rows.
     """
 
     def __init__(self, sim: "Simulation", agents: list[Agent], *, sharing: bool):
@@ -221,6 +238,11 @@ class DensityStep:
         self.converged = False
         # (iteration, actions, c_mue, c_fue, rewards, delta) of the last iteration
         self._last: tuple | None = None
+        n = -(-sim.params.max_iterations // sim.config.trace_stride) + 1
+        ints = (np.zeros(n, np.intp), np.zeros((n, m), np.intp))
+        floats = (np.zeros(n), np.zeros((n, m)), np.zeros((n, m)), np.zeros(n))
+        self.trace = DensityTrace(self._agent_ids, *ints, *floats)
+        self.kept = 0
 
     @property
     def m(self) -> int:
@@ -262,45 +284,39 @@ class DensityStep:
 
         self._last = (iteration, actions, c_mue, c_fue, rewards, delta)
 
-    def record(self) -> IterationRecord:
-        """The joint outcome of the last iteration ``step`` ran."""
+    def keep(self) -> None:
+        """Copy the last iteration ``step`` ran into row ``kept`` of ``trace``."""
         if self._last is None:
             raise RuntimeError("no iteration has run yet")
+        t, k = self.trace, self.kept
         iteration, actions, c_mue, c_fue, rewards, delta = self._last
-        return IterationRecord(
-            iteration=iteration,
-            agent_ids=self._agent_ids,
-            actions=tuple(actions.tolist()),
-            powers_dbm=tuple(self._sim.actions.levels_dbm[actions].tolist()),
-            c_mue=c_mue,
-            fue_capacities=tuple(c_fue.tolist()),
-            rewards=tuple(rewards.tolist()),
-            max_q_delta=delta,
-        )
+        t.iteration[k], t.actions[k], t.c_mue[k] = iteration, actions, c_mue
+        t.c_fue[k], t.rewards[k], t.max_q_delta[k] = c_fue, rewards, delta
+        self.kept = k + 1
 
-    def run(self) -> tuple[DensitySummary, list[IterationRecord]]:
+    def run(self) -> tuple[DensitySummary, DensityTrace]:
         """Iterate to convergence or the budget, then check, sync and summarize.
 
-        Every ``trace_stride``-th iteration is recorded, and the last one too.
+        Every ``trace_stride``-th iteration is kept, and the last one too.
         """
         sim = self._sim
         stride = sim.config.trace_stride
         window = sim.config.convergence_window
-        step = self.step
-        records: list[IterationRecord] = []
+        step, keep = self.step, self.keep
         for iteration in range(sim.params.max_iterations):
             step(iteration)
             if iteration % stride == 0:
-                records.append(self.record())
+                keep()
             if self._streak >= window:
                 self.converged = True
                 break
         self.iterations_run = iteration + 1
         if iteration % stride:
-            records.append(self.record())
+            keep()
         self._check_finite()
         self.finalize()
-        return self._summary(), records
+        self.trace = self.trace.head(self.kept)
+        return self._summary(), self.trace
 
     def _check_finite(self) -> None:
         bad = ~np.isfinite(self._qmat).all(axis=1)
@@ -418,7 +434,7 @@ class Simulation:
         admission_rng.shuffle(rest)
         self.admission_order = tuple(seeds + rest)
 
-        self.trace = RunTrace(admission_order=self.admission_order)
+        self.trace = RunTrace(self.admission_order, self.actions.levels_dbm)
         self._active: list[Agent] = []
         self._next_density = 1
 
@@ -456,9 +472,8 @@ class Simulation:
             list(self._active),
             sharing=cooperative and self.config.sharing_enabled,
         )
-        summary, records = step.run()
+        summary, self.trace.records[m] = step.run()
         self.trace.summaries.append(summary)
-        self.trace.records[m] = records
         self._next_density += 1
         return summary
 

@@ -1,5 +1,8 @@
 """Tests for the simulation loop, row sharing, convergence, and metrics."""
 
+from dataclasses import fields
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from femtoq.channel import dbm_to_mw
 from femtoq.config import ScenarioConfig
 from femtoq.coordinator import (
     DensityStep,
+    DensitySummary,
     SharingGroups,
     Simulation,
     check_constraints,
@@ -37,6 +41,19 @@ def tiny_config(**overrides):
     )
     defaults.update(overrides)
     return ScenarioConfig(**defaults)
+
+
+def kept_row(step):
+    """Keep the step's last iteration and return its row of ``step.trace``."""
+    step.keep()
+    t, k = step.trace, step.kept - 1
+    return SimpleNamespace(
+        actions=t.actions[k].tolist(),
+        c_mue=t.c_mue[k],
+        c_fue=t.c_fue[k].tolist(),
+        rewards=t.rewards[k].tolist(),
+        max_q_delta=t.max_q_delta[k],
+    )
 
 
 class TestJainIndex:
@@ -185,9 +202,9 @@ class TestDensityStep:
         sim = Simulation(config)
         step = DensityStep(sim, [sim.agents[0]], sharing=False)
         step.step(0)
-        record = step.record()
-        assert record.actions == (0,)  # zero Q-row ties break to lowest power
-        assert record.powers_dbm == (config.p_min_dbm,)
+        record = kept_row(step)
+        assert record.actions == [0]  # zero Q-row ties break to lowest power
+        assert sim.actions.levels_dbm[record.actions].tolist() == [config.p_min_dbm]
         assert record.rewards[0] != 0.0
 
     def test_update_equals_reference_q_update(self):
@@ -197,7 +214,7 @@ class TestDensityStep:
         step = DensityStep(sim, list(sim.agents), sharing=False)
         before = step._qmat.copy()
         step.step(0)
-        record = step.record()
+        record = kept_row(step)
         for i, (action, reward) in enumerate(zip(record.actions, record.rewards)):
             row = before[i].copy()
             q_update(row, action, reward, sim.params)
@@ -223,23 +240,23 @@ class TestDensityStep:
         assert np.all(changed_per_agent == 1)
 
     def test_capacities_match_recomputation_from_powers(self):
-        config = tiny_config(m_max=3, seed_agents=3)
+        config = tiny_config(m_max=3, seed_agents=3, trace_stride=1)
         sim = Simulation(config)
         step = DensityStep(sim, list(sim.agents), sharing=False)
         noise = sim.noise_mw
         for it in range(20):
             step.step(it)
-            rec = step.record()
-            powers_mw = np.array([dbm_to_mw(p) for p in rec.powers_dbm])
+            rec = kept_row(step)
+            powers_mw = np.array([dbm_to_mw(p) for p in sim.actions.levels_dbm[rec.actions]])
             c_mue = capacity_bps_hz(mue_sinr(sim.p_bs_mw, powers_mw, sim.gains, noise))
             assert rec.c_mue == pytest.approx(c_mue, rel=1e-12)
             for i in range(3):
                 c = capacity_bps_hz(fue_sinr(i, sim.p_bs_mw, powers_mw, sim.gains, noise))
-                assert rec.fue_capacities[i] == pytest.approx(c, rel=1e-12)
+                assert rec.c_fue[i] == pytest.approx(c, rel=1e-12)
 
     @pytest.mark.parametrize("sharing", [True, False])
     def test_q_delta_is_full_matrix_change(self, sharing):
-        config = tiny_config(m_max=6, seed_agents=1, seed=3)
+        config = tiny_config(m_max=6, seed_agents=1, seed=3, trace_stride=1)
         sim = Simulation(config)
         step = DensityStep(sim, list(sim.agents), sharing=sharing)
         assert len(step._groups) == (2 if sharing else 0)
@@ -247,7 +264,7 @@ class TestDensityStep:
             before = step._qmat.copy()
             step.step(it)
             full = float(np.abs(step._qmat - before).max())
-            assert step.record().max_q_delta == full
+            assert kept_row(step).max_q_delta == full
 
     def test_q_delta_nan_from_unchanged_infinite_entry(self):
         # inf - inf at an entry no update touched makes the full-matrix delta NaN
@@ -258,7 +275,7 @@ class TestDensityStep:
         for it in range(3):
             with np.errstate(invalid="ignore"):
                 step.step(it)
-            assert np.isnan(step.record().max_q_delta)
+            assert np.isnan(kept_row(step).max_q_delta)
 
     def test_default_reward_takes_the_config_exponent(self):
         sim = Simulation(tiny_config(mue_capacity_exponent=1))
@@ -269,7 +286,7 @@ class TestDensityStep:
     def test_record_before_any_step_rejected(self):
         sim = Simulation(tiny_config())
         with pytest.raises(RuntimeError):
-            DensityStep(sim, [sim.agents[0]], sharing=False).record()
+            DensityStep(sim, [sim.agents[0]], sharing=False).keep()
 
     def test_non_finite_q_value_raises_after_density_step(self):
         sim = Simulation(tiny_config(), reward_fn=lambda c_fue, *_: np.full_like(c_fue, np.nan))
@@ -285,7 +302,7 @@ class TestDensityStep:
         step = DensityStep(sim, same_state, sharing=True)
         step.step(0)
         step.step(1)
-        second = step.record()
+        second = kept_row(step)
         assert len(set(second.actions)) == 1
 
 
@@ -343,7 +360,11 @@ class TestSimulationProtocol:
         trace_b = Simulation(config).run()
         assert trace_a.admission_order == trace_b.admission_order
         assert trace_a.summaries == trace_b.summaries
-        assert trace_a.records == trace_b.records
+        assert trace_a.records.keys() == trace_b.records.keys()
+        for m, a in trace_a.records.items():
+            b = trace_b.records[m]
+            for f in fields(a):
+                assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), (m, f.name)
 
     def test_seed_changes_trajectory(self):
         trace_a = Simulation(tiny_config(seed=1)).run()
@@ -367,32 +388,66 @@ class TestSimulationProtocol:
         for m, records in trace.records.items():
             assert len(records) <= config.max_iterations
 
+    @pytest.mark.parametrize(
+        "max_iterations, stride",
+        [(7, 3), (8, 3), (9, 3), (5, 1), (1, 1), (1, 4), (10, 10), (11, 10)],
+    )
+    def test_kept_rows_follow_the_stride_rule(self, max_iterations, stride):
+        config = tiny_config(
+            m_max=1,
+            seed_agents=1,
+            max_iterations=max_iterations,
+            convergence_window=max_iterations + 1,
+            trace_stride=stride,
+        )
+        sim = Simulation(config)
+        step = DensityStep(sim, [sim.agents[0]], sharing=False)
+        allocated = len(step.trace)
+        summary, trace = step.run()
+        assert not summary.converged
+        kept = sorted(set(range(0, max_iterations, stride)) | {max_iterations - 1})
+        assert trace.iteration.tolist() == kept
+        assert len(trace) == step.kept == len(kept) <= allocated
+        assert allocated == -(-max_iterations // stride) + 1
+        assert trace.actions.shape == trace.c_fue.shape == trace.rewards.shape == (len(kept), 1)
+
+    def test_step_alone_keeps_nothing(self):
+        config = tiny_config(max_iterations=20, trace_stride=1)
+        sim = Simulation(config)
+        step = DensityStep(sim, list(sim.agents), sharing=True)
+        for iteration in range(3 * config.max_iterations):
+            step.step(iteration)
+        assert step.kept == 0
+        assert not step.trace.iteration.any() and not step.trace.rewards.any()
+
 
 class TestConstraints:
     THRESHOLDS = QosThresholds(mue=1.0, fue=(1.0, 1.0, 1.0))
 
-    def _record(self, c_mue, fue, powers):
-        from femtoq.coordinator import IterationRecord
-
-        return IterationRecord(
-            iteration=0,
+    def _summary(self, c_mue, fue, powers):
+        return DensitySummary(
+            m=len(fue),
+            phase="individual",
             agent_ids=tuple(range(len(fue))),
             actions=tuple(0 for _ in fue),
             powers_dbm=tuple(powers),
-            c_mue=c_mue,
+            c_mue_final=c_mue,
             fue_capacities=tuple(fue),
-            rewards=tuple(0.0 for _ in fue),
-            max_q_delta=0.0,
+            min_fue_capacity=min(fue),
+            sum_capacity=sum(fue),
+            jain=jain_index(fue),
+            iterations_to_converge=1,
+            converged=True,
         )
 
     def test_boundary_is_inclusive(self):
-        rec = self._record(1.0, [1.0, 1.0, 1.0], [25.0, 0.0, -20.0])
-        report = check_constraints(rec, self.THRESHOLDS, p_max_dbm=25.0)
+        summary = self._summary(1.0, [1.0, 1.0, 1.0], [25.0, 0.0, -20.0])
+        report = check_constraints(summary, self.THRESHOLDS, p_max_dbm=25.0)
         assert report.all_satisfied
 
     def test_violations_reported_per_user(self):
-        rec = self._record(0.5, [2.0, 0.2, 1.5], [25.0, 26.0, 0.0])
-        report = check_constraints(rec, self.THRESHOLDS, p_max_dbm=25.0)
+        summary = self._summary(0.5, [2.0, 0.2, 1.5], [25.0, 26.0, 0.0])
+        report = check_constraints(summary, self.THRESHOLDS, p_max_dbm=25.0)
         assert not report.mue_satisfied
         assert report.fue_satisfied == (True, False, True)
         assert report.power_satisfied == (True, False, True)
@@ -401,11 +456,12 @@ class TestConstraints:
     def test_action_set_powers_always_within_limit(self):
         config = tiny_config()
         trace = Simulation(config).run()
-        for records in trace.records.values():
-            for rec in records:
-                report = check_constraints(
-                    rec,
-                    QosThresholds(mue=1.0, fue=(1.0,) * config.m_max),
-                    p_max_dbm=config.p_max_dbm,
-                )
-                assert all(report.power_satisfied)
+        for density in trace.records.values():
+            assert np.all(trace.levels_dbm[density.actions] <= config.p_max_dbm)
+        for summary in trace.summaries:
+            report = check_constraints(
+                summary,
+                QosThresholds(mue=1.0, fue=(1.0,) * config.m_max),
+                p_max_dbm=config.p_max_dbm,
+            )
+            assert all(report.power_satisfied)

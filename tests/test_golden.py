@@ -90,8 +90,8 @@ def test_custom_reward_stays_with_its_run(tmp_path):
     # one call per iteration, with one entry per active agent
     steps = trace.summaries
     assert shapes == [((s.m,),) * 3 for s in steps for _ in range(s.iterations_to_converge)]
-    recorded = [rec.rewards for m in trace.records for rec in trace.records[m]]
-    assert recorded == [tuple(r.tolist()) for r in outputs]
+    recorded = [row for density in trace.records.values() for row in density.rewards.tolist()]
+    assert recorded == [r.tolist() for r in outputs]
 
     # a default run built afterwards in the same process still gives the golden
     config = golden_config(True)
