@@ -10,7 +10,6 @@ from .channel import (
     evaluate_capacities,
     gain_from_pathloss_db,
     indoor_to_outdoor_pathloss_db,
-    mw_to_dbm,
     residential_pathloss_db,
 )
 from .config import (

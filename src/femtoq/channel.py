@@ -18,13 +18,6 @@ def dbm_to_mw(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0)
 
 
-def mw_to_dbm(mw: float) -> float:
-    """Convert a power in milliwatts to dBm."""
-    if mw <= 0.0:
-        raise ValueError(f"power must be positive to express in dBm, got {mw}")
-    return 10.0 * math.log10(mw)
-
-
 def residential_pathloss_db(
     d: float, pl0: float = 62.3, exponent: float = 4.0, d0: float = 5.0
 ) -> float:

@@ -1,13 +1,13 @@
-"""Multi-agent simulation loop: phased admission, row sharing, convergence, metrics.
+"""Multi-agent simulation loop: admission, row sharing, convergence, metrics.
 
-The run admits stations one per density step. Agents never move, so each
-one only ever uses the Q-row of its own ring state: row ``agent_id`` of
-``Simulation.q``. The first ``seed_agents`` steps form the individual
-phase (zero-initialized rows, no sharing); later steps are cooperative:
-the newcomer copies the mean row of same-state veterans and all
-same-state agents average their rows after every iteration. Each density
-step runs until the convergence detector fires or the iteration budget is
-exhausted.
+``Simulation.run`` admits one station per density step, m = 1 ... m_max.
+Agents never move, so each one only ever uses the Q-row of its own ring
+state: row ``agent_id`` of ``Simulation.q``. Steps with m up to
+``seed_agents`` are individual: the newcomer starts from a zero row and
+no rows are shared. Later steps are cooperative: the newcomer copies the
+mean row of same-state veterans and all same-state agents average their
+rows after every iteration. Each density step runs until the convergence
+detector fires or the iteration budget is exhausted.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .channel import Links, build_gain_matrix, dbm_to_mw
 from .config import ADMISSION_STREAM, AGENT_STREAM, ScenarioConfig, build_topology
 from .learning import ActionSet, LearningParams, epsilon_at, make_action_set
 from .reward import REWARDS, QosThresholds, RewardFunction
-from .topology import AgentState, RingRadii, Topology, agent_state, proximity_ratio
+from .topology import AgentState, RingRadii, agent_state, proximity_ratio
 
 
 def jain_index(values) -> float:
@@ -185,8 +185,8 @@ class DensityStep:
     The agents' rows of ``Simulation.q`` are gathered into an
     ``(m + 1, n_power)`` buffer whose last row stays zero (the padding
     target of ``SharingGroups``); ``_qmat`` is a view of its first ``m``
-    rows. ``finalize`` scatters them back into ``Simulation.q`` when the
-    step finishes.
+    rows. ``run`` scatters them back into ``Simulation.q`` when the step
+    finishes; ``step`` alone leaves ``Simulation.q`` untouched.
 
     Each iteration takes one ``argmax`` per row: it is the greedy action
     and, read before the update, its entry is the row maximum of the TD
@@ -217,7 +217,6 @@ class DensityStep:
 
     def __init__(self, sim: "Simulation", agents: list[Agent], *, sharing: bool):
         self._sim = sim
-        self._agents = list(agents)
         self._agent_ids = tuple(a.agent_id for a in agents)
         m = len(agents)
         self._ids = np.array(self._agent_ids, dtype=np.intp)
@@ -246,7 +245,7 @@ class DensityStep:
 
     @property
     def m(self) -> int:
-        return len(self._agents)
+        return len(self._agent_ids)
 
     def step(self, iteration: int) -> None:
         """Run one synchronous iteration: select, evaluate, reward, update, share."""
@@ -295,7 +294,7 @@ class DensityStep:
         self.kept = k + 1
 
     def run(self) -> tuple[DensitySummary, DensityTrace]:
-        """Iterate to convergence or the budget, then check, sync and summarize.
+        """Iterate to convergence or the budget, then check, write back and summarize.
 
         Every ``trace_stride``-th iteration is kept, and the last one too.
         """
@@ -314,29 +313,25 @@ class DensityStep:
         if iteration % stride:
             keep()
         self._check_finite()
-        self.finalize()
+        sim.q[self._ids] = self._qmat
         self.trace = self.trace.head(self.kept)
         return self._summary(), self.trace
 
     def _check_finite(self) -> None:
         bad = ~np.isfinite(self._qmat).all(axis=1)
         if bad.any():
-            agent = self._agents[int(bad.argmax())]
+            agent_id = self._agent_ids[int(bad.argmax())]
             raise FloatingPointError(
-                f"agent {agent.agent_id} has a non-finite Q-value at density m={self.m} "
+                f"agent {agent_id} has a non-finite Q-value at density m={self.m} "
                 f"after {self.iterations_run} iterations"
             )
-
-    def finalize(self) -> None:
-        """Write the working rows back into ``Simulation.q``."""
-        self._sim.q[self._ids] = self._qmat
 
     def _summary(self) -> DensitySummary:
         sim = self._sim
         actions = self._qmat.argmax(axis=1)
         powers_mw = sim.actions.levels_mw[actions]
         c_mue, c_fue = self._capacities(powers_mw)
-        phase = "cooperative" if self.m > sim.effective_seed_agents else "individual"
+        phase = "cooperative" if self.m > sim.config.seed_agents else "individual"
         return DensitySummary(
             m=self.m,
             phase=phase,
@@ -365,19 +360,9 @@ class Simulation:
     ``mue_capacity_exponent``.
     """
 
-    def __init__(
-        self,
-        config: ScenarioConfig,
-        *,
-        topology: Topology | None = None,
-        reward_fn: RewardFunction | None = None,
-    ):
+    def __init__(self, config: ScenarioConfig, *, reward_fn: RewardFunction | None = None):
         self.config = config
-        self.topology = topology if topology is not None else build_topology(config)
-        if self.topology.m != config.m_max:
-            raise ValueError(
-                f"topology has {self.topology.m} stations but config.m_max is {config.m_max}"
-            )
+        self.topology = build_topology(config)
         self.actions: ActionSet = make_action_set(
             config.p_min_dbm, config.p_max_dbm, config.n_power
         )
@@ -425,57 +410,35 @@ class Simulation:
                 )
             )
 
-        self.effective_seed_agents = min(config.seed_agents, config.m_max)
+        n_seed = min(config.seed_agents, config.m_max)
         admission_rng = np.random.default_rng(
             np.random.SeedSequence((config.seed, ADMISSION_STREAM))
         )
-        seeds = list(range(self.effective_seed_agents))
-        rest = list(range(self.effective_seed_agents, config.m_max))
+        rest = list(range(n_seed, config.m_max))
         admission_rng.shuffle(rest)
-        self.admission_order = tuple(seeds + rest)
+        self.admission_order = tuple(range(n_seed)) + tuple(rest)
 
         self.trace = RunTrace(self.admission_order, self.actions.levels_dbm)
-        self._active: list[Agent] = []
-        self._next_density = 1
 
     def run(self) -> RunTrace:
-        """Run both phases over the full density sweep."""
-        self.run_individual_phase()
-        self.run_cooperative_phase()
+        """Admit one station per density step, learn, and return the trace.
+
+        Step m runs the first m stations of ``admission_order``. From
+        m = ``seed_agents`` + 1 on, the newcomer is warm-started from its
+        same-state veterans and, if ``sharing_enabled``, same-state rows are
+        shared. The trace is the only progress state: a second call finds
+        every step done and returns the same trace.
+        """
+        config = self.config
+        for m in range(len(self.trace.summaries) + 1, config.m_max + 1):
+            active = [self.agents[i] for i in self.admission_order[:m]]
+            cooperative = m > config.seed_agents
+            if cooperative:
+                self._warm_start(active[-1], active[:-1])
+            step = DensityStep(self, active, sharing=cooperative and config.sharing_enabled)
+            summary, self.trace.records[m] = step.run()
+            self.trace.summaries.append(summary)
         return self.trace
-
-    def run_individual_phase(self) -> list[DensitySummary]:
-        """Admit the seed agents one per density step, learning without sharing."""
-        out = []
-        while self._next_density <= self.effective_seed_agents:
-            out.append(self._advance_density())
-        return out
-
-    def run_cooperative_phase(self) -> list[DensitySummary]:
-        """Admit remaining agents one by one with warm starts and row sharing."""
-        if self._next_density <= self.effective_seed_agents:
-            raise RuntimeError("individual phase has not completed")
-        out = []
-        while self._next_density <= self.config.m_max:
-            out.append(self._advance_density())
-        return out
-
-    def _advance_density(self) -> DensitySummary:
-        m = self._next_density
-        newcomer = self.agents[self.admission_order[m - 1]]
-        cooperative = m > self.effective_seed_agents
-        if cooperative:
-            self._warm_start(newcomer, self._active)
-        self._active.append(newcomer)
-        step = DensityStep(
-            self,
-            list(self._active),
-            sharing=cooperative and self.config.sharing_enabled,
-        )
-        summary, self.trace.records[m] = step.run()
-        self.trace.summaries.append(summary)
-        self._next_density += 1
-        return summary
 
     def _warm_start(self, newcomer: Agent, experienced: list[Agent]) -> None:
         """Seed the newcomer's Q-row with the mean row of same-state veterans."""

@@ -18,6 +18,16 @@ from femtoq.topology import AgentState
 _LN2 = math.log(2.0)
 
 
+# -- units ---------------------------------------------------------------
+
+
+def mw_to_dbm(mw: float) -> float:
+    """Convert a power in milliwatts to dBm; the inverse of ``channel.dbm_to_mw``."""
+    if mw <= 0.0:
+        raise ValueError(f"power must be positive to express in dBm, got {mw}")
+    return 10.0 * math.log10(mw)
+
+
 # -- per-link gains ------------------------------------------------------
 
 

@@ -15,7 +15,6 @@ from femtoq.channel import (
     evaluate_capacities,
     gain_from_pathloss_db,
     indoor_to_outdoor_pathloss_db,
-    mw_to_dbm,
     residential_pathloss_db,
 )
 from femtoq.topology import Position, Topology
@@ -27,6 +26,7 @@ from reference import (
     mbs_to_fue,
     mbs_to_mue,
     mue_sinr,
+    mw_to_dbm,
 )
 
 REL = 1e-9

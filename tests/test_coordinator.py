@@ -189,9 +189,10 @@ class TestDetectConvergence:
         assert fired_streak == fired_window
 
     def test_alpha_zero_run_converges_at_window(self):
-        config = tiny_config(alpha=0.0, max_iterations=500, convergence_window=50)
-        sim = Simulation(config)
-        summary = sim.run_individual_phase()[0]
+        config = tiny_config(
+            alpha=0.0, m_max=1, seed_agents=1, max_iterations=500, convergence_window=50
+        )
+        summary = Simulation(config).run().summaries[0]
         assert summary.iterations_to_converge == 50
         assert summary.converged
 
@@ -220,13 +221,12 @@ class TestDensityStep:
             q_update(row, action, reward, sim.params)
             assert np.array_equal(step._qmat[i], row)
 
-    def test_finalize_writes_rows_back(self):
+    def test_run_writes_rows_back(self):
         config = tiny_config(m_max=3, seed_agents=3)
         sim = Simulation(config)
         assert sim.q.shape == (3, config.n_power) and not sim.q.any()
         step = DensityStep(sim, [sim.agents[2], sim.agents[0]], sharing=False)
-        step.step(0)
-        step.finalize()
+        step.run()
         assert np.array_equal(sim.q[[2, 0]], step._qmat)
         assert not sim.q[1].any()
 
@@ -319,10 +319,34 @@ class TestSimulationProtocol:
         assert sim.admission_order[:4] == (0, 1, 2, 3)
         assert sorted(sim.admission_order) == list(range(6))
 
-    def test_cooperative_phase_requires_individual(self):
-        sim = Simulation(tiny_config())
-        with pytest.raises(RuntimeError):
-            sim.run_cooperative_phase()
+    def test_seed_agents_beyond_m_max_stay_individual(self):
+        # what ``femtoq run --m-max 3`` does under the default seed_agents=4
+        config = tiny_config(m_max=3, seed_agents=5, max_iterations=100, seed=4)
+        sim = Simulation(config)
+        assert sim.admission_order == (0, 1, 2)
+        states = [a.state for a in sim.agents]
+        trace = sim.run()
+        assert [s.phase for s in trace.summaries] == ["individual"] * 3
+        same = [a for a in sim.agents if states.count(a.state) > 1]
+        if len(same) < 2:
+            pytest.skip("no shared state in this layout")
+        # neither a warm start nor sharing: same-state rows diverge
+        rows = [sim.q[a.agent_id] for a in same]
+        assert not all(np.array_equal(rows[0], r) for r in rows[1:])
+
+    def test_second_run_returns_the_same_trace(self):
+        config = tiny_config(trace_stride=1)
+        sim = Simulation(config)
+        trace = sim.run()
+        summaries = list(trace.summaries)
+        records = dict(trace.records)
+        q = sim.q.copy()
+        assert sim.run() is trace
+        assert len(trace.summaries) == config.m_max
+        assert trace.summaries == summaries
+        assert trace.records.keys() == records.keys()
+        assert all(trace.records[m] is records[m] for m in records)
+        assert np.array_equal(sim.q, q)
 
     def test_warm_start_copies_single_peer_row(self):
         config = tiny_config(m_max=4, seed_agents=2, seed=2)
@@ -349,7 +373,7 @@ class TestSimulationProtocol:
         states = [a.state for a in sim.agents]
         if len(set(states)) == len(states):
             pytest.skip("no shared state in this layout")
-        sim.run_individual_phase()
+        sim.run()
         same = [a for a in sim.agents if states.count(a.state) > 1]
         rows = [sim.q[a.agent_id] for a in same]
         assert not all(np.array_equal(rows[0], r) for r in rows[1:])
