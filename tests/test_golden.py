@@ -98,7 +98,9 @@ def test_custom_reward_stays_with_its_run(tmp_path):
     assert run_digests(config, Simulation(config).run(), tmp_path) == GOLDEN[True]
 
 
-# 15^4 = 50,625 joint actions: two chunks of the oracle's enumeration
+# 15^4 = 50,625 joint actions, more than 2^15: the largest power of 15 that
+# fits 2^15 is 15^3, so the first station is one prefix column ahead of a
+# block over the last three
 ORACLE_CONFIG = dict(
     m_max=4,
     seed_agents=2,
@@ -110,16 +112,27 @@ ORACLE_CONFIG = dict(
 )
 ORACLE_GOLDEN = "a5601b25db7c367077f288bc3383dd00dcef074fbba6ae8a7c63f27781b7254a"
 
+# 9^6 = 531,441 joint actions: two prefix columns ahead of a 9^4 block
+ORACLE_CONFIG_TWO_PREFIXES = dict(ORACLE_CONFIG, m_max=6, n_power=9)
+ORACLE_GOLDEN_TWO_PREFIXES = "f0af482ab0091bad4c165ac2a8eb382a7f2f5b41df439f06ca84a8529cd038ff"
 
-def test_oracle_result_digest(tmp_path):
-    config = ScenarioConfig(output_dir=str(tmp_path), **ORACLE_CONFIG)
-    write_run_artifacts(config, Simulation(config).run(), tmp_path)
+
+def oracle_digest(overrides, out_dir):
+    config = ScenarioConfig(output_dir=str(out_dir), **overrides)
+    write_run_artifacts(config, Simulation(config).run(), out_dir)
     run_oracle(config, quiet=True)
 
     # the learned sum and the gap must be filled, or the digest guards less
-    header, row = (tmp_path / "oracle_result.csv").read_text().splitlines()
+    header, row = (out_dir / "oracle_result.csv").read_text().splitlines()
     values = dict(zip(header.split(","), row.split(",")))
     assert int(values["n_enumerated"]) > 1 << 15
     assert values["learned_sum"] and values["optimality_gap"]
-    digest = hashlib.sha256((tmp_path / "oracle_result.csv").read_bytes()).hexdigest()
-    assert digest == ORACLE_GOLDEN
+    return hashlib.sha256((out_dir / "oracle_result.csv").read_bytes()).hexdigest()
+
+
+def test_oracle_result_digest(tmp_path):
+    assert oracle_digest(ORACLE_CONFIG, tmp_path) == ORACLE_GOLDEN
+
+
+def test_oracle_result_digest_two_prefix_columns(tmp_path):
+    assert oracle_digest(ORACLE_CONFIG_TWO_PREFIXES, tmp_path) == ORACLE_GOLDEN_TWO_PREFIXES
