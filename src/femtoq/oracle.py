@@ -4,6 +4,19 @@ Ground truth for near-optimality tests: enumerates every joint power
 assignment, evaluates the same link model as the simulator, and returns
 the feasible maximizer of the femto sum capacity (or the unconstrained
 maximizer, flagged infeasible, when no assignment meets the QoS).
+
+The enumeration runs in blocks. One ``(n**k, m)`` power block is built
+once: its last k columns hold every level combination of the last k
+agents, in lexicographic order, with k the largest count for which
+``n**k`` fits ``_CHUNK`` rows (at least 1, at most m). Each block then
+fixes the first ``m - k`` agents (the prefix) by filling only their
+columns, prefix after prefix in lexicographic order, so the blocks
+together walk the joint actions in ascending lexicographic order.
+
+The femto sum capacity of each row is added column by column, in the order
+numpy's ``sum(axis=1)`` adds a row (see :func:`_row_sums`): the objective,
+and so the maximizer and every tie, is the same to the last bit as a
+single ``sum(axis=1)`` over the whole enumeration.
 """
 
 from __future__ import annotations
@@ -47,9 +60,13 @@ def exhaustive_search(
 ) -> OracleResult:
     """Enumerate all joint power assignments and maximize femto sum capacity.
 
-    Ties break to the lexicographically smallest action-index vector.
-    Raises :class:`EnumerationCapExceeded` when ``n_power ** M`` exceeds
-    the cap.
+    The assignments are evaluated one block of ``n**k`` rows at a time
+    (see the module docstring); a block with ``k = 1`` is larger than
+    ``_CHUNK`` when ``n_power`` is. Ties break to the lexicographically
+    smallest action-index vector: within a block by the first-index
+    argmax, across blocks by keeping the earlier block unless a later one
+    is strictly better. Raises :class:`EnumerationCapExceeded` when
+    ``n_power ** M`` exceeds the cap, before anything is allocated.
     """
     m = gains.m
     n = len(actions)
@@ -64,32 +81,46 @@ def exhaustive_search(
 
     links = Links(gains, p_bs_mw, noise_mw)
     q_fue = np.asarray(thresholds.fue)
-    # digit weights: agent 0 is the most significant digit, so ascending
-    # enumeration order is lexicographic in the index vector
-    weights = n ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    levels = actions.levels_mw
+
+    # the last k agents vary inside a block, the first p = m - k are fixed
+    # per block; agent 0 is the most significant digit throughout
+    k = 1
+    while k < m and n ** (k + 1) <= _CHUNK:
+        k += 1
+    p = m - k
+    block = np.empty((n**k, m))
+    block[:, p:] = levels[np.indices((n,) * k).reshape(k, -1).T]
 
     best_any = (-np.inf, None)
     best_feasible = (-np.inf, None)
-    for start in range(0, total, _CHUNK):
-        flat = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        digits = (flat[:, None] // weights[None, :]) % n
-        c_mue, c_fue = links.capacities(actions.levels_mw[digits])
-        sums = c_fue.sum(axis=1)
+    for b, prefix in enumerate(np.ndindex((n,) * p)):
+        start = b * len(block)
+        # one scalar fill per column: a (p,) row broadcast into the strided
+        # prefix columns costs several times more
+        for j, d in enumerate(prefix):
+            block[:, j] = levels[d]
+        c_mue, c_fue = links.capacities(block)
+        sums = _row_sums(c_fue)
 
-        k = int(np.argmax(sums))
-        if sums[k] > best_any[0]:
-            best_any = (float(sums[k]), start + k)
-        feasible = (c_fue >= q_fue).all(axis=1) & (c_mue >= thresholds.mue)
+        i = int(np.argmax(sums))
+        if sums[i] > best_any[0]:
+            best_any = (float(sums[i]), start + i)
+        # the femto comparisons only matter where the macro user is served
+        feasible = c_mue >= thresholds.mue
+        if feasible.any():
+            for j in range(m):
+                feasible &= c_fue[:, j] >= q_fue[j]
         if feasible.any():
             masked = np.where(feasible, sums, -np.inf)
-            k = int(np.argmax(masked))
-            if masked[k] > best_feasible[0]:
-                best_feasible = (float(masked[k]), start + k)
+            i = int(np.argmax(masked))
+            if masked[i] > best_feasible[0]:
+                best_feasible = (float(masked[i]), start + i)
 
     feasible_found = best_feasible[1] is not None
     objective, flat_index = best_feasible if feasible_found else best_any
-    indices = tuple(int(d) for d in (flat_index // weights) % n)
-    c_mue, c_fue = links.capacities(actions.levels_mw[np.array(indices)])
+    indices = tuple(int(d) for d in np.unravel_index(flat_index, (n,) * m))
+    c_mue, c_fue = links.capacities(levels[np.array(indices)])
 
     return OracleResult(
         best_action=indices,
@@ -100,3 +131,35 @@ def exhaustive_search(
         fue_capacities=tuple(float(c) for c in c_fue),
         n_enumerated=total,
     )
+
+
+def _row_sums(c: np.ndarray, lo: int = 0, n: int | None = None) -> np.ndarray:
+    """``c.sum(axis=1)`` of a C-ordered 2-D array, added column by column.
+
+    numpy reduces each row with its pairwise sum, whose inner loop here
+    would run over only m elements per call. Whole columns are added
+    instead, in the same order, so each row sum rounds the same way: left
+    to right below 8 columns; from 8 on, 8 running sums combined as
+    ((0+1)+(2+3))+((4+5)+(6+7)) before the tail; above 128 columns, the
+    two halves (cut at a multiple of 8) summed apart. Only the sign of an
+    all-zero sum can differ (numpy starts from +0.0). ``lo`` and ``n``
+    select the columns of one half.
+    """
+    if n is None:
+        n = c.shape[1]
+    if n < 8:
+        total = c[:, lo].copy()
+        for j in range(lo + 1, lo + n):
+            total += c[:, j]
+        return total
+    if n <= 128:
+        body = n - n % 8
+        r = [c[:, lo + j] for j in range(8)]
+        for i in range(lo + 8, lo + body, 8):
+            r = [r[j] + c[:, i + j] for j in range(8)]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for j in range(lo + body, lo + n):
+            total += c[:, j]
+        return total
+    half = n // 2 - (n // 2) % 8
+    return _row_sums(c, lo, half) + _row_sums(c, lo + half, n - half)

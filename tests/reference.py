@@ -11,8 +11,10 @@ from typing import Sequence
 
 import numpy as np
 
-from femtoq.channel import GainMatrix, _check_powers
-from femtoq.learning import LearningParams
+from femtoq.channel import GainMatrix, Links, _check_powers
+from femtoq.learning import ActionSet, LearningParams
+from femtoq.oracle import OracleResult
+from femtoq.reward import QosThresholds
 from femtoq.topology import AgentState
 
 _LN2 = math.log(2.0)
@@ -156,3 +158,42 @@ def proposed_reward(
     mue_penalty = (c_mue - q_mue) ** 2 / proximity
     fue_penalty = (c_fue - q_fue) ** 2
     return gain - mue_penalty - fue_penalty
+
+
+# -- oracle --------------------------------------------------------------
+
+
+def one_shot_oracle(
+    gains: GainMatrix,
+    actions: ActionSet,
+    thresholds: QosThresholds,
+    *,
+    p_bs_mw: float,
+    noise_mw: float,
+) -> OracleResult:
+    """``oracle.exhaustive_search`` as one batch over the whole enumeration.
+
+    Every joint action, in lexicographic order, goes through one
+    ``Links.capacities`` call; the objective is ``c_fue.sum(axis=1)`` and
+    the winner the first index of the maximum, over the feasible rows when
+    there are any and over all rows otherwise.
+    """
+    m, n = gains.m, len(actions)
+    digits = np.indices((n,) * m).reshape(m, -1).T
+    links = Links(gains, p_bs_mw, noise_mw)
+    c_mue, c_fue = links.capacities(actions.levels_mw[digits])
+    sums = c_fue.sum(axis=1)
+    feasible = (c_fue >= np.asarray(thresholds.fue)).all(axis=1) & (c_mue >= thresholds.mue)
+    best = int(np.argmax(np.where(feasible, sums, -np.inf) if feasible.any() else sums))
+
+    indices = tuple(int(d) for d in digits[best])
+    c_mue_best, c_fue_best = links.capacities(actions.levels_mw[digits[best]])
+    return OracleResult(
+        best_action=indices,
+        best_powers_dbm=tuple(float(actions.levels_dbm[i]) for i in indices),
+        best_objective=float(sums[best]),
+        feasible=bool(feasible.any()),
+        c_mue=c_mue_best,
+        fue_capacities=tuple(float(c) for c in c_fue_best),
+        n_enumerated=n**m,
+    )

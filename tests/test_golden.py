@@ -1,9 +1,9 @@
 """Byte-identity of the run and oracle artifacts for small fixed scenarios.
 
 The run digests were written from the simulator before the hot loop was
-rewritten, the oracle digest before the capacity kernels were merged; any
-refactor must keep them, or re-baseline them on purpose and say why in
-CHANGES.md.
+rewritten, the m=4 oracle digest before the capacity kernels were merged
+and the m=6 one before the oracle enumerated in blocks; any refactor must
+keep them, or re-baseline them on purpose and say why in CHANGES.md.
 """
 
 import hashlib

@@ -1,13 +1,15 @@
 """Tests for the exhaustive joint-action search baseline."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from femtoq.channel import GainMatrix, evaluate_capacities
+from femtoq.channel import GainMatrix, Links, evaluate_capacities
 from femtoq.learning import make_action_set
-from femtoq.oracle import EnumerationCapExceeded, exhaustive_search
+from femtoq.oracle import _CHUNK, EnumerationCapExceeded, _row_sums, exhaustive_search
 from femtoq.reward import QosThresholds
-from reference import capacity_bps_hz
+from reference import capacity_bps_hz, one_shot_oracle
 
 NOISE = 1.0
 
@@ -187,3 +189,110 @@ class TestExhaustiveSearch:
                 p_bs_mw=1.0,
                 noise_mw=NOISE,
             )
+
+
+def assert_same_result(result, expected):
+    """Every field equal, the floats compared as their bytes."""
+    assert (result.best_action, result.feasible, result.n_enumerated) == (
+        expected.best_action,
+        expected.feasible,
+        expected.n_enumerated,
+    )
+
+    def float_bytes(r):
+        return np.array([r.best_objective, r.c_mue, *r.fue_capacities, *r.best_powers_dbm]).tobytes()
+
+    assert float_bytes(result) == float_bytes(expected)
+
+
+def search_and_reference(gains, actions, thresholds, p_bs_mw):
+    result = exhaustive_search(gains, actions, thresholds, p_bs_mw=p_bs_mw, noise_mw=NOISE)
+    expected = one_shot_oracle(gains, actions, thresholds, p_bs_mw=p_bs_mw, noise_mw=NOISE)
+    assert_same_result(result, expected)
+    return result
+
+
+class TestBlockEnumeration:
+    # at m >= 8 a left-to-right femto sum changes the objective's last bit
+    # in about a third of these instances, so three seeds catch it
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("level", ["loose", "mid", "impossible"])
+    @pytest.mark.parametrize(
+        "m, n", [(1, 5), (2, 7), (3, 40), (4, 14), (5, 9), (6, 6), (7, 5), (8, 4), (9, 3)]
+    )
+    def test_matches_one_shot_reference(self, m, n, level, seed):
+        gains = random_gain_matrix(m, seed=seed)
+        actions = make_action_set(-20.0, 25.0, n)
+        if level == "loose":
+            thresholds = QosThresholds(mue=1e-9, fue=(1e-9,) * m)
+        elif level == "impossible":
+            thresholds = QosThresholds(mue=1e6, fue=(1e6,) * m)
+        else:
+            # just under what one random joint action achieves, so that
+            # action at least is feasible
+            joint = np.random.default_rng(m + n).integers(0, n, size=m)
+            c_mue, c_fue = evaluate_capacities(10.0, actions.levels_mw[joint], gains, NOISE)
+            thresholds = QosThresholds(mue=0.9 * c_mue, fue=tuple(0.9 * c_fue))
+        result = search_and_reference(gains, actions, thresholds, p_bs_mw=10.0)
+        assert result.feasible == (level != "impossible")
+
+    @pytest.mark.parametrize("m", [*range(1, 21), 129, 300])
+    def test_row_sums_follow_numpy_order(self, m):
+        # magnitudes spread over 16 decades make every change of order
+        # show in the last bits
+        rng = np.random.default_rng(m)
+        c = rng.uniform(0.0, 10.0, size=(257, m)) * 10.0 ** rng.uniform(-8, 8, size=(257, m))
+        assert np.array_equal(_row_sums(c), c.sum(axis=1))
+
+    @pytest.mark.parametrize("mue", [1e-9, 1e6], ids=["feasible", "infeasible"])
+    def test_ties_across_blocks_go_to_the_smallest_action(self, mue):
+        # 15^3 <= 2^15 < 15^4: one block per level of the first station
+        assert 15**3 <= _CHUNK < 15**4
+        gains = GainMatrix(np.ones((5, 5)))
+        actions = make_action_set(-20.0, 25.0, 15)
+        thresholds = QosThresholds(mue=mue, fue=(1e-9,) * 4)
+
+        # unit symmetric gains: permutations of the optimum tie exactly,
+        # and the tied actions fall in more than one block
+        digits = np.indices((15,) * 4).reshape(4, -1).T
+        _, c_fue = Links(gains, 1.0, NOISE).capacities(actions.levels_mw[digits])
+        sums = c_fue.sum(axis=1)
+        tied = sorted(tuple(int(d) for d in row) for row in digits[sums == sums.max()])
+        assert len({action[0] for action in tied}) > 1
+
+        result = search_and_reference(gains, actions, thresholds, p_bs_mw=1.0)
+        assert result.best_action == tied[0]
+
+    def test_levels_beyond_one_chunk_form_one_block(self):
+        # m=1 with more levels than _CHUNK: k=1, one block of n rows; the
+        # femto capacity rises with its own power, so the last level wins
+        n = _CHUNK + 5
+        gains = random_gain_matrix(1, seed=11)
+        actions = make_action_set(-20.0, 25.0, n)
+        thresholds = QosThresholds(mue=1e-9, fue=(1e-9,))
+        result = search_and_reference(gains, actions, thresholds, p_bs_mw=1.0)
+        assert result.best_action == (n - 1,)
+        assert result.n_enumerated == n
+
+    @pytest.mark.parametrize("m, n", [(3, 20), (2, 181), (2, 182)])
+    def test_space_around_one_chunk(self, m, n):
+        # 20^3 and 181^2 fit _CHUNK (one block, no prefix column); 182^2
+        # does not (k=1, a block per level of the first station)
+        gains = random_gain_matrix(m, seed=m * n)
+        actions = make_action_set(-20.0, 25.0, n)
+        thresholds = QosThresholds(mue=0.5, fue=(0.5,) * m)
+        search_and_reference(gains, actions, thresholds, p_bs_mw=10.0)
+
+    def test_cap_raised_before_any_block(self):
+        # a 31^3-row block over 15 stations would take 3.6 MB
+        gains = random_gain_matrix(15, seed=3)
+        actions = make_action_set(-20.0, 25.0, 31)
+        thresholds = QosThresholds(mue=1.0, fue=(1.0,) * 15)
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationCapExceeded):
+                exhaustive_search(gains, actions, thresholds, p_bs_mw=1.0, noise_mw=NOISE)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
