@@ -161,25 +161,34 @@ class Links:
         self._signal_mue = p_bs_mw * g[0, 0]
         self._noise_mw = noise_mw
 
-    def capacities(self, powers_mw: np.ndarray) -> tuple:
+    def capacities(self, powers_mw: np.ndarray, out: tuple | None = None) -> tuple:
         """Capacities (macro user, femto users) in b/s/Hz, log2(1 + SINR).
 
         For ``(m,)`` powers: a float and an ``(m,)`` array; for ``(k, m)``
-        powers: a ``(k,)`` and a ``(k, m)`` array.
+        powers: a ``(k,)`` and a ``(k, m)`` array. A batch may pass
+        ``out``, contiguous ``(k,)``, ``(k, m)`` and ``(k, m)`` buffers for
+        the two results and the scratch, to be written instead of
+        allocated; the results are the same to the last bit.
         """
-        sinr_mue = self._signal_mue / (powers_mw @ self._g_fbs_mue + self._noise_mw)
         if powers_mw.ndim == 1:
+            sinr_mue = self._signal_mue / (powers_mw @ self._g_fbs_mue + self._noise_mw)
             # math.log1p, not np.log1p: numpy's SIMD log1p can round the
             # last bit differently, which would change the golden digests
             c_mue = math.log1p(sinr_mue) / _LN2
+            signal = powers_mw * self._g_serve
+            c_fue = powers_mw @ self._g_cross
         else:
-            c_mue = np.log1p(sinr_mue) / _LN2
+            k, m = powers_mw.shape
+            c_mue, c_fue, signal = out or (np.empty(k), np.empty((k, m)), np.empty((k, m)))
+            np.matmul(powers_mw, self._g_fbs_mue, out=c_mue)
+            c_mue += self._noise_mw
+            np.divide(self._signal_mue, c_mue, out=c_mue)
+            np.log1p(c_mue, out=c_mue)
+            c_mue /= _LN2
+            np.multiply(powers_mw, self._g_serve, out=signal)
+            np.matmul(powers_mw, self._g_cross, out=c_fue)
         # one buffer carries the received power, then interference plus
-        # noise, the SINR and the capacity: a (k, m) batch allocates two
-        # arrays instead of five, so the oracle's chunk loop does not page
-        # fresh memory in for every chunk
-        signal = powers_mw * self._g_serve
-        c_fue = powers_mw @ self._g_cross
+        # noise, the SINR and the capacity
         c_fue -= signal
         c_fue += self._mbs_fue
         c_fue += self._noise_mw

@@ -89,7 +89,16 @@ def exhaustive_search(
     while k < m and n ** (k + 1) <= _CHUNK:
         k += 1
     p = m - k
-    block = np.empty((n**k, m))
+    # one workspace for the block and the capacities written from it, so
+    # the block loop allocates no large array: glibc's malloc raises its
+    # mmap and trim thresholds to the largest chunk it has unmapped, and
+    # once it has unmapped this one, every later call and every smaller
+    # temporary reuses pages already mapped instead of faulting fresh ones
+    rows = n**k
+    work = np.empty((3 * m + 1) * rows)
+    size = rows * m
+    block, c_fue, signal = (work[i * size : (i + 1) * size].reshape(rows, m) for i in range(3))
+    c_mue = work[3 * size :]
     block[:, p:] = levels[np.indices((n,) * k).reshape(k, -1).T]
 
     best_any = (-np.inf, None)
@@ -100,7 +109,7 @@ def exhaustive_search(
         # prefix columns costs several times more
         for j, d in enumerate(prefix):
             block[:, j] = levels[d]
-        c_mue, c_fue = links.capacities(block)
+        links.capacities(block, out=(c_mue, c_fue, signal))
         sums = _row_sums(c_fue)
 
         i = int(np.argmax(sums))

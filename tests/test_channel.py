@@ -237,6 +237,23 @@ class TestLinks:
                 expected = capacity_bps_hz(fue_sinr(i, p_bs, powers, g, noise))
                 assert c_fue[k, i] == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("ids", [None, [3, 0, 5]])
+    def test_batch_into_buffers_is_bit_identical(self, ids):
+        rng = np.random.default_rng(7)
+        g = GainMatrix(rng.uniform(1e-10, 1.0, size=(7, 7)))
+        m = 6 if ids is None else len(ids)
+        batch = rng.uniform(0.0, 300.0, size=(500, m))
+        links = Links(g, 1e4, 3.98e-11, ids=ids)
+        c_mue, c_fue = links.capacities(batch)
+        # contiguous slices of one workspace, as the oracle passes them
+        work = np.full(500 * (2 * m + 1), np.nan)
+        c_buf, s_buf = work[500:].reshape(2, 500, m)
+        out = (work[:500], c_buf, s_buf)
+        got_mue, got_fue = links.capacities(batch, out=out)
+        assert got_mue is out[0] and got_fue is out[1]
+        assert got_mue.tobytes() == c_mue.tobytes()
+        assert got_fue.tobytes() == c_fue.tobytes()
+
     def test_subset_matches_its_own_gain_matrix(self):
         # stations [2, 0] of a 3-station matrix are the 2-station matrix of
         # exactly those links, in that order
