@@ -15,7 +15,7 @@ from femtoq.channel import GainMatrix, Links, _check_powers
 from femtoq.learning import ActionSet, LearningParams
 from femtoq.oracle import OracleResult
 from femtoq.reward import QosThresholds
-from femtoq.topology import AgentState
+from femtoq.topology import AgentState, Position, Topology, distance
 
 _LN2 = math.log(2.0)
 
@@ -28,6 +28,85 @@ def mw_to_dbm(mw: float) -> float:
     if mw <= 0.0:
         raise ValueError(f"power must be positive to express in dBm, got {mw}")
     return 10.0 * math.log10(mw)
+
+
+# -- geometry ------------------------------------------------------------
+
+
+def ring_index(d: float, radii: Sequence[float]) -> int:
+    """Ring of distance ``d``: the number of boundaries strictly below it.
+
+    A distance on a boundary belongs to the inner ring.
+    """
+    return sum(1 for r in radii if r < d)
+
+
+def agent_state(
+    fbs: Position, mbs: Position, mue: Position, mbs_radii, mue_radii
+) -> AgentState:
+    """Ring state of a femto station around the macro station and the macro user."""
+    return AgentState(
+        ring_index(distance(fbs, mbs), mbs_radii), ring_index(distance(fbs, mue), mue_radii)
+    )
+
+
+def proximity_ratio(fbs: Position, mue: Position, d_th: float) -> float:
+    """Femto-to-macro-user distance over the vicinity threshold; below 1 inside it."""
+    return distance(fbs, mue) / d_th
+
+
+# -- link model ----------------------------------------------------------
+
+
+def residential_pathloss_db(
+    d: float, pl0: float = 62.3, exponent: float = 4.0, d0: float = 5.0
+) -> float:
+    """Log-distance path loss (dB) of an outdoor residential link."""
+    return pl0 + 10.0 * exponent * math.log10(d / d0)
+
+
+def indoor_to_outdoor_pathloss_db(d: float, f_ghz: float) -> float:
+    """Femtocell indoor-to-outdoor path loss (dB): a wall term plus log-distance from 5 m."""
+    frequency_term = -1.8 * f_ghz * f_ghz + 10.6 * f_ghz + 6.1
+    distance_term = 62.3 + 32.0 * math.log10(d / 5.0)
+    return frequency_term + distance_term
+
+
+def gain_from_pathloss_db(pl_db: float) -> float:
+    """Linear power gain of a path loss in dB."""
+    return 10.0 ** (-pl_db / 10.0)
+
+
+def link_gain(
+    topology: Topology,
+    t: int,
+    r: int,
+    *,
+    pl0: float = 62.3,
+    exponent: float = 4.0,
+    d0: float = 5.0,
+    f_ghz: float = 2.4,
+) -> float:
+    """Gain from transmitter ``t`` to receiver ``r``, numbered as in ``GainMatrix``.
+
+    Transmitter 0 is the macro station and 1 + j femto station j; receiver
+    0 is the macro user and 1 + i femto user i. The macro station's links
+    and each femto station's link to its own user are residential; a femto
+    station's links to the macro user and to other users are
+    indoor-to-outdoor.
+    """
+    tx = topology.mbs if t == 0 else topology.fbs[t - 1]
+    rx = topology.mue if r == 0 else topology.fue[r - 1]
+    d = distance(tx, rx)
+    if t == 0 or t == r:
+        return gain_from_pathloss_db(residential_pathloss_db(d, pl0, exponent, d0))
+    return gain_from_pathloss_db(indoor_to_outdoor_pathloss_db(d, f_ghz))
+
+
+def gain_array(topology: Topology, **constants) -> np.ndarray:
+    """Every ``link_gain`` of the topology, transmitter-major."""
+    n = topology.m + 1
+    return np.array([[link_gain(topology, t, r, **constants) for r in range(n)] for t in range(n)])
 
 
 # -- per-link gains ------------------------------------------------------

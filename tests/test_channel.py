@@ -17,12 +17,15 @@ from femtoq.channel import (
     indoor_to_outdoor_pathloss_db,
     residential_pathloss_db,
 )
+from femtoq.config import ScenarioConfig, build_topology
+from femtoq.coordinator import Simulation
 from femtoq.topology import Position, Topology
 from reference import (
     capacity_bps_hz,
     fbs_to_fue,
     fbs_to_mue,
     fue_sinr,
+    gain_array,
     mbs_to_fue,
     mbs_to_mue,
     mue_sinr,
@@ -139,6 +142,65 @@ class TestGainMatrix:
         gm = unit_gain_matrix(1)
         with pytest.raises(ValueError):
             gm.as_array()[0, 0] = 0.5
+
+
+# propagation constants as config fields; the first entry is the default
+PROPAGATION = {
+    "default": {},
+    "custom": {"pl0_db": 55.0, "pathloss_exponent": 3.3, "d0_m": 2.5, "f_ghz": 3.1},
+    "low_band": {"pl0_db": 70.0, "pathloss_exponent": 2.7, "d0_m": 8.0, "f_ghz": 0.9},
+}
+
+PINNED = {
+    "mbs_position": (-120.0, 7.5),
+    "mue_position": (12.25, -3.0),
+    "fbs_positions": ((0.0, 0.0), (35.0, 0.0), (17.5, 30.3)),
+    "fue_positions": ((4.1, -2.2), (31.0, 6.5), (20.0, 22.0)),
+    "m_max": 3,
+    "seed_agents": 3,
+}
+
+
+def link_constants(config):
+    return {
+        "pl0": config.pl0_db,
+        "exponent": config.pathloss_exponent,
+        "d0": config.d0_m,
+        "f_ghz": config.f_ghz,
+    }
+
+
+class TestGainMatrixMatchesReference:
+    """``build_gain_matrix`` is ``reference.link_gain`` on every link, to the last bit."""
+
+    @pytest.mark.parametrize("name", PROPAGATION)
+    @pytest.mark.parametrize("seed", [1, 4, 9])
+    def test_generated_layouts(self, name, seed):
+        config = ScenarioConfig(seed=seed, **PROPAGATION[name])
+        expected = gain_array(build_topology(config), **link_constants(config))
+        assert Simulation(config).gains.as_array().tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("name", PROPAGATION)
+    def test_pinned_layout(self, name):
+        config = ScenarioConfig(**PINNED, **PROPAGATION[name])
+        expected = gain_array(build_topology(config), **link_constants(config))
+        assert Simulation(config).gains.as_array().tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_layouts(self, seed):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 8))
+        fbs = tuple(Position(60 + 40 * i, 10 * rng.random()) for i in range(m))
+        fue = tuple(Position(p.x + 1 + 5 * rng.random(), p.y + 3) for p in fbs)
+        topo = Topology(Position(-200 * rng.random(), 0), Position(10, 5), fbs, fue)
+        constants = {
+            "pl0": 50 + 20 * rng.random(),
+            "exponent": 2 + 2 * rng.random(),
+            "d0": 1 + 4 * rng.random(),
+            "f_ghz": 0.5 + 4 * rng.random(),
+        }
+        got = build_gain_matrix(topo, **constants).as_array()
+        assert got.tobytes() == gain_array(topo, **constants).tobytes()
 
 
 class TestSinr:

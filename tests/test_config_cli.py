@@ -112,6 +112,9 @@ class TestConfigValidation:
             ("layout", "fue_radius_m", 0.0, "layout.fue_radius_m"),
             ("layout", "fue_min_distance_m", 0.0, "fue_min_distance_m"),
             ("convergence", "window", 0, "convergence.window"),
+            ("pathloss", "d0_m", 0.0, "pathloss.d0_m must be positive"),
+            ("pathloss", "exponent", 0.0, "pathloss.exponent must be positive"),
+            ("pathloss", "f_ghz", 0.0, "pathloss.f_ghz must be positive"),
             # wrong types and non-finite numbers
             ("actions", "n_power", 3.5, "actions.n_power must be an integer"),
             ("phases", "m_max", 2.5, "phases.m_max must be an integer"),

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from femtoq.config import ConfigError, ScenarioConfig
+from femtoq.config import ConfigError, ScenarioConfig, build_topology
+from femtoq.coordinator import Simulation
 from femtoq.topology import (
     AgentState,
     Position,
@@ -19,6 +20,8 @@ from femtoq.topology import (
     proximity_ratio,
     ring_index,
 )
+from reference import agent_state as reference_state
+from reference import proximity_ratio as reference_proximity
 
 TABLE_RADII = RingRadii(mbs=(50.0, 150.0, 400.0), mue=(15.0, 50.0, 125.0))
 
@@ -161,3 +164,43 @@ class TestTopologyValidation:
                 fbs=(Position(1, 1), Position(2, 2)),
                 fue=(Position(3, 3),),
             )
+
+
+# one station exactly 50.0 m from the macro station, one 50.1 m from it and
+# one exactly d_th_m = 25 m from the macro user
+BOUNDARY_LAYOUT = {
+    "mbs_position": (0.0, 0.0),
+    "mue_position": (100.0, 0.0),
+    "fbs_positions": ((50.0, 0.0), (0.0, 50.1), (100.0, 25.0)),
+    "fue_positions": ((53.0, 4.0), (3.0, 54.1), (103.0, 29.0)),
+    "m_max": 3,
+    "seed_agents": 3,
+}
+
+
+class TestSimulationGeometry:
+    """Each agent's ring state and proximity, as ``Simulation`` computes them."""
+
+    def test_ring_boundary_belongs_to_the_inner_ring(self):
+        sim = Simulation(ScenarioConfig(**BOUNDARY_LAYOUT))
+        assert [a.state.mbs_ring for a in sim.agents[:2]] == [0, 1]
+
+    def test_proximity_one_at_the_vicinity_threshold(self):
+        sim = Simulation(ScenarioConfig(**BOUNDARY_LAYOUT))
+        assert sim.agents[2].proximity == 1.0
+        assert sim.agents[2].state.mue_ring == 1
+
+    @pytest.mark.parametrize("seed", range(1, 11))
+    @pytest.mark.parametrize(
+        "rings",
+        [{}, {"mbs_radii": (40.0, 120.0, 300.0), "mue_radii": (10.0, 35.0), "d_th_m": 17.5}],
+        ids=["default", "custom"],
+    )
+    def test_states_and_proximity_equal_reference(self, seed, rings):
+        config = ScenarioConfig(seed=seed, **rings)
+        topo = build_topology(config)
+        sim = Simulation(config)
+        for agent, fbs in zip(sim.agents, topo.fbs, strict=True):
+            expected = reference_state(fbs, topo.mbs, topo.mue, config.mbs_radii, config.mue_radii)
+            assert agent.state == expected
+            assert agent.proximity == reference_proximity(fbs, topo.mue, config.d_th_m)
