@@ -8,9 +8,6 @@ from .channel import (
     build_gain_matrix,
     dbm_to_mw,
     evaluate_capacities,
-    gain_from_pathloss_db,
-    indoor_to_outdoor_pathloss_db,
-    residential_pathloss_db,
 )
 from .config import (
     ConfigError,
@@ -40,11 +37,7 @@ from .reward import QosThresholds
 from .topology import (
     AgentState,
     Position,
-    RingRadii,
     Topology,
-    agent_state,
     distance,
     generate_layout,
-    proximity_ratio,
-    ring_index,
 )

@@ -1,7 +1,7 @@
-"""Propagation models and the SINR/capacity kernel for the macro/femto downlink.
+"""Link gains and the SINR/capacity kernel for the macro/femto downlink.
 
-All link budgets are computed in the linear (milliwatt) domain; decibel
-quantities appear only at the conversion boundary.
+Each gain comes from its link's path loss in dB; all link budgets are then
+computed in the linear (milliwatt) domain.
 """
 
 from __future__ import annotations
@@ -10,48 +10,14 @@ import math
 
 import numpy as np
 
+from .topology import Topology, distance
+
 _LN2 = math.log(2.0)
 
 
 def dbm_to_mw(dbm: float) -> float:
     """Convert a power level in dBm to milliwatts."""
     return 10.0 ** (dbm / 10.0)
-
-
-def residential_pathloss_db(
-    d: float, pl0: float = 62.3, exponent: float = 4.0, d0: float = 5.0
-) -> float:
-    """Log-distance path loss (dB) for outdoor residential links.
-
-    ``pl0`` is the loss at the reference distance ``d0`` and ``exponent``
-    the decay exponent; monotone nondecreasing in ``d`` for positive
-    exponents.
-    """
-    if d <= 0.0:
-        raise ValueError(f"distance must be positive, got {d}")
-    if d0 <= 0.0:
-        raise ValueError(f"reference distance must be positive, got {d0}")
-    return pl0 + 10.0 * exponent * math.log10(d / d0)
-
-
-def indoor_to_outdoor_pathloss_db(d: float, f_ghz: float) -> float:
-    """Empirical femtocell indoor-to-outdoor path loss (dB).
-
-    Combines a frequency-dependent penetration term with a log-distance
-    term anchored at 5 m.
-    """
-    if d <= 0.0:
-        raise ValueError(f"distance must be positive, got {d}")
-    if f_ghz <= 0.0:
-        raise ValueError(f"frequency must be positive, got {f_ghz}")
-    frequency_term = -1.8 * f_ghz * f_ghz + 10.6 * f_ghz + 6.1
-    distance_term = 62.3 + 32.0 * math.log10(d / 5.0)
-    return frequency_term + distance_term
-
-
-def gain_from_pathloss_db(pl_db: float) -> float:
-    """Linear power gain corresponding to a path loss in dB."""
-    return 10.0 ** (-pl_db / 10.0)
 
 
 class GainMatrix:
@@ -87,46 +53,35 @@ class GainMatrix:
 
 
 def build_gain_matrix(
-    topology,
+    topology: Topology,
     *,
     pl0: float = 62.3,
     exponent: float = 4.0,
     d0: float = 5.0,
     f_ghz: float = 2.4,
 ) -> GainMatrix:
-    """Compute the full gain matrix for a topology.
+    """Compute the full gain matrix for a topology, one link at a time.
 
-    Serving links (macro station to macro user, each femto station to its
-    own user) and the macro-to-femto-user interference links use the
-    residential model; femto-to-macro-user and femto-to-other-user links
-    use the indoor-to-outdoor model.
+    Each gain is ``10 ** (-PL / 10)`` for the link's path loss PL in dB.
+    The macro station's links and each femto station's link to its own
+    user are residential, ``pl0 + 10 exponent log10(d / d0)``. A femto
+    station's links to the macro user and to other users are
+    indoor-to-outdoor: a frequency-dependent wall loss plus
+    ``62.3 + 32 log10(d / 5 m)``. ``Topology`` guarantees positive
+    distances.
     """
-    from .topology import distance  # local import avoids a cycle
-
-    m = topology.m
-    gains = np.empty((m + 1, m + 1), dtype=float)
-
-    def _residential(a, b) -> float:
-        d = distance(a, b)
-        if d == 0.0:
-            raise ValueError("coincident transmitter/receiver positions")
-        return gain_from_pathloss_db(residential_pathloss_db(d, pl0, exponent, d0))
-
-    def _indoor_outdoor(a, b) -> float:
-        d = distance(a, b)
-        if d == 0.0:
-            raise ValueError("coincident transmitter/receiver positions")
-        return gain_from_pathloss_db(indoor_to_outdoor_pathloss_db(d, f_ghz))
-
-    gains[0, 0] = _residential(topology.mbs, topology.mue)
-    for i in range(m):
-        gains[0, 1 + i] = _residential(topology.mbs, topology.fue[i])
-        gains[1 + i, 0] = _indoor_outdoor(topology.fbs[i], topology.mue)
-        for j in range(m):
-            if i == j:
-                gains[1 + i, 1 + i] = _residential(topology.fbs[i], topology.fue[i])
+    wall_db = -1.8 * f_ghz * f_ghz + 10.6 * f_ghz + 6.1
+    tx = (topology.mbs, *topology.fbs)
+    rx = (topology.mue, *topology.fue)
+    gains = np.empty((len(tx), len(rx)), dtype=float)
+    for t, a in enumerate(tx):
+        for r, b in enumerate(rx):
+            d = distance(a, b)
+            if t == 0 or t == r:
+                pl = pl0 + 10.0 * exponent * math.log10(d / d0)
             else:
-                gains[1 + j, 1 + i] = _indoor_outdoor(topology.fbs[j], topology.fue[i])
+                pl = wall_db + (62.3 + 32.0 * math.log10(d / 5.0))
+            gains[t, r] = 10.0 ** (-pl / 10.0)
     return GainMatrix(gains)
 
 

@@ -240,36 +240,25 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _effective_config(args)
+        if args.command == "validate-config":
+            Simulation(config)  # the scenario too, so whatever run rejects is rejected here
+            print(f"config ok (hash {config_hash(config)})")
+            if not args.quiet:
+                print(yaml.safe_dump(config_to_dict(config), sort_keys=True), end="")
+        elif args.command == "run":
+            run_experiment(config, quiet=args.quiet)
+        else:
+            run_oracle(config, quiet=args.quiet)
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-
-    if args.command == "validate-config":
-        print(f"config ok (hash {config_hash(config)})")
-        if not args.quiet:
-            print(yaml.safe_dump(config_to_dict(config), sort_keys=True), end="")
-        return 0
-
-    if args.command == "run":
-        try:
-            run_experiment(config, quiet=args.quiet)
-            return 0
-        except Exception as exc:  # noqa: BLE001 - CLI boundary
-            print(f"runtime error: {exc}", file=sys.stderr)
-            return 2
-
-    if args.command == "oracle":
-        try:
-            run_oracle(config, quiet=args.quiet)
-            return 0
-        except EnumerationCapExceeded as exc:
-            print(f"oracle refused: {exc}", file=sys.stderr)
-            return 3
-        except Exception as exc:  # noqa: BLE001 - CLI boundary
-            print(f"runtime error: {exc}", file=sys.stderr)
-            return 2
-
-    return 2  # pragma: no cover - argparse enforces the command set
+    except EnumerationCapExceeded as exc:
+        print(f"oracle refused: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # noqa: BLE001 - CLI boundary
+        print(f"runtime error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

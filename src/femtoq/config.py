@@ -346,23 +346,41 @@ def config_hash(config: ScenarioConfig) -> str:
 
 
 def build_topology(config: ScenarioConfig) -> Topology:
-    """Topology from explicit pinned positions or the seeded grid generator."""
-    if config.fbs_positions is not None:
-        return Topology(
-            mbs=Position(*config.mbs_position),
-            mue=Position(*config.mue_position),
-            fbs=tuple(Position(*p) for p in config.fbs_positions),
-            fue=tuple(Position(*p) for p in config.fue_positions),
+    """Topology from explicit pinned positions or the seeded grid generator.
+
+    Positions that ``Topology`` rejects are a ``ConfigError`` naming the layout keys.
+    """
+    try:
+        if config.fbs_positions is not None:
+            return Topology(
+                mbs=Position(*config.mbs_position),
+                mue=Position(*config.mue_position),
+                fbs=tuple(Position(*p) for p in config.fbs_positions),
+                fue=tuple(Position(*p) for p in config.fue_positions),
+            )
+        return generate_layout(
+            config.m_max,
+            config.fbs_spacing_m,
+            config.fue_radius_m,
+            Position(*config.mbs_position),
+            Position(*config.mue_position),
+            np.random.SeedSequence((config.seed, LAYOUT_STREAM)),
+            min_fue_distance=config.fue_min_distance_m,
         )
-    return generate_layout(
-        config.m_max,
-        config.fbs_spacing_m,
-        config.fue_radius_m,
-        Position(*config.mbs_position),
-        Position(*config.mue_position),
-        np.random.SeedSequence((config.seed, LAYOUT_STREAM)),
-        min_fue_distance=config.fue_min_distance_m,
+    except ValueError as exc:
+        raise geometry_error(config, str(exc)) from exc
+
+
+def geometry_error(config: ScenarioConfig, message: str, *, pathloss: bool = False) -> ConfigError:
+    """``message`` after the YAML keys that place the nodes and, with ``pathloss``, set gains."""
+    layout = (
+        ("fbs_positions", "fue_positions")
+        if config.fbs_positions is not None
+        else ("fbs_spacing_m", "fue_radius_m", "fue_min_distance_m")
     )
+    gains = ("pl0_db", "pathloss_exponent", "d0_m", "f_ghz") if pathloss else ()
+    names = (*gains, "mbs_position", "mue_position", *layout)
+    return ConfigError(f"{', '.join(_YAML_KEYS[name] for name in names)}: {message}")
 
 
 def with_pinned_layout(config: ScenarioConfig, topology: Topology) -> ScenarioConfig:

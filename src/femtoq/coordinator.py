@@ -13,6 +13,7 @@ detector fires or the iteration budget is exhausted.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Sequence
@@ -20,10 +21,10 @@ from typing import Sequence
 import numpy as np
 
 from .channel import Links, build_gain_matrix, dbm_to_mw
-from .config import ADMISSION_STREAM, AGENT_STREAM, ScenarioConfig, build_topology
+from .config import ADMISSION_STREAM, AGENT_STREAM, ScenarioConfig, build_topology, geometry_error
 from .learning import ActionSet, LearningParams, epsilon_at, make_action_set
 from .reward import REWARDS, QosThresholds, RewardFunction
-from .topology import AgentState, RingRadii, agent_state, proximity_ratio
+from .topology import AgentState, distance
 
 
 def jain_index(values) -> float:
@@ -351,6 +352,9 @@ class DensityStep:
 class Simulation:
     """Full experiment: build the scenario, then sweep density with admission.
 
+    A config whose scenario cannot be built (two nodes on one spot, a link
+    gain outside (0, 1]) raises a ``ConfigError`` naming its YAML keys.
+
     ``reward_fn`` is called once per iteration as ``reward_fn(c_fue, c_mue,
     proximity, q_fue, q_mue)``: the active agents' femto capacities, the
     macro capacity, the agents' proximity ratios and femto QoS thresholds
@@ -373,14 +377,17 @@ class Simulation:
             explore_fraction=config.explore_fraction,
             max_iterations=config.max_iterations,
         )
-        self.radii = RingRadii(mbs=config.mbs_radii, mue=config.mue_radii)
-        self.gains = build_gain_matrix(
-            self.topology,
-            pl0=config.pl0_db,
-            exponent=config.pathloss_exponent,
-            d0=config.d0_m,
-            f_ghz=config.f_ghz,
-        )
+        try:
+            self.gains = build_gain_matrix(
+                self.topology,
+                pl0=config.pl0_db,
+                exponent=config.pathloss_exponent,
+                d0=config.d0_m,
+                f_ghz=config.f_ghz,
+            )
+        except (ValueError, OverflowError) as exc:  # 10.0 ** x overflows past float range
+            message = "link gains must lie in (0, 1]; check node separations and path loss"
+            raise geometry_error(config, message, pathloss=True) from exc
         self.p_bs_mw = dbm_to_mw(config.p_bs_dbm)
         self.noise_mw = dbm_to_mw(config.noise_dbm)
         self.thresholds = QosThresholds(
@@ -395,14 +402,20 @@ class Simulation:
             )
         self.reward_fn = reward_fn
 
+        # a ring index counts the ring boundaries strictly below the distance,
+        # so a station on a boundary is in the inner ring
+        mbs, mue = self.topology.mbs, self.topology.mue
         self.agents: list[Agent] = []
-        for aid in range(config.m_max):
-            fbs = self.topology.fbs[aid]
+        for aid, fbs in enumerate(self.topology.fbs):
+            d_mue = distance(fbs, mue)
             self.agents.append(
                 Agent(
                     agent_id=aid,
-                    state=agent_state(fbs, self.topology.mbs, self.topology.mue, self.radii),
-                    proximity=proximity_ratio(fbs, self.topology.mue, config.d_th_m),
+                    state=AgentState(
+                        bisect_left(config.mbs_radii, distance(fbs, mbs)),
+                        bisect_left(config.mue_radii, d_mue),
+                    ),
+                    proximity=d_mue / config.d_th_m,
                     fue_threshold=self.thresholds.fue[aid],
                     rng=np.random.default_rng(
                         np.random.SeedSequence((config.seed, AGENT_STREAM, aid))

@@ -142,33 +142,31 @@ def exhaustive_search(
     )
 
 
-def _row_sums(c: np.ndarray, lo: int = 0, n: int | None = None) -> np.ndarray:
+def _row_sums(c: np.ndarray) -> np.ndarray:
     """``c.sum(axis=1)`` of a C-ordered 2-D array, added column by column.
 
     numpy reduces each row with its pairwise sum, whose inner loop here
     would run over only m elements per call. Whole columns are added
     instead, in the same order, so each row sum rounds the same way: left
     to right below 8 columns; from 8 on, 8 running sums combined as
-    ((0+1)+(2+3))+((4+5)+(6+7)) before the tail; above 128 columns, the
-    two halves (cut at a multiple of 8) summed apart. Only the sign of an
-    all-zero sum can differ (numpy starts from +0.0). ``lo`` and ``n``
-    select the columns of one half.
+    ((0+1)+(2+3))+((4+5)+(6+7)) before the tail. Only the sign of an
+    all-zero sum can differ (numpy starts from +0.0). Above 128 columns,
+    at least 2**129 joint actions that no search finishes, ``c`` goes to
+    ``c.sum(axis=1)`` itself.
     """
-    if n is None:
-        n = c.shape[1]
+    n = c.shape[1]
     if n < 8:
-        total = c[:, lo].copy()
-        for j in range(lo + 1, lo + n):
+        total = c[:, 0].copy()
+        for j in range(1, n):
             total += c[:, j]
         return total
     if n <= 128:
         body = n - n % 8
-        r = [c[:, lo + j] for j in range(8)]
-        for i in range(lo + 8, lo + body, 8):
+        r = [c[:, j] for j in range(8)]
+        for i in range(8, body, 8):
             r = [r[j] + c[:, i + j] for j in range(8)]
         total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for j in range(lo + body, lo + n):
+        for j in range(body, n):
             total += c[:, j]
         return total
-    half = n // 2 - (n // 2) % 8
-    return _row_sums(c, lo, half) + _row_sums(c, lo + half, n - half)
+    return c.sum(axis=1)

@@ -1,11 +1,10 @@
-"""Node placement, ring-state encoding, and macro-user proximity geometry."""
+"""Node placement; the distances between nodes set ring states, proximities and gains."""
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,53 +45,11 @@ class Topology:
         return len(self.fbs)
 
 
-@dataclass(frozen=True)
-class RingRadii:
-    """Ring boundaries (meters) around the macro station and user, as checked by config."""
-
-    mbs: tuple[float, ...]
-    mue: tuple[float, ...]
-
-
 class AgentState(NamedTuple):
     """Discretized location: ring index around the macro station and the macro user."""
 
     mbs_ring: int
     mue_ring: int
-
-
-def ring_index(d: float, radii: Sequence[float]) -> int:
-    """Index of the ring containing distance ``d``.
-
-    Returns the number of boundaries strictly smaller than ``d``: 0 inside
-    the innermost ring (boundary distances belong to the inner ring) up to
-    ``len(radii)`` beyond the outermost boundary.
-    """
-    if len(radii) == 0:
-        raise ValueError("ring radii must be nonempty")
-    if d < 0:
-        raise ValueError(f"distance must be nonnegative, got {d}")
-    return bisect_left(radii, d)
-
-
-def agent_state(fbs: Position, mbs: Position, mue: Position, radii: RingRadii) -> AgentState:
-    """Ring state of a femto station relative to the macro station and user."""
-    return AgentState(
-        ring_index(distance(fbs, mbs), radii.mbs),
-        ring_index(distance(fbs, mue), radii.mue),
-    )
-
-
-def proximity_ratio(fbs: Position, mue: Position, d_th: float) -> float:
-    """Femto-to-macro-user distance normalized by the vicinity threshold.
-
-    Below 1 the station sits inside the macro user's vicinity; the value
-    weights the reward's fairness terms, so a zero distance is rejected.
-    """
-    d = distance(fbs, mue)
-    if d == 0.0:
-        raise ValueError("femto station coincides with the macro user")
-    return d / d_th
 
 
 def generate_layout(

@@ -37,6 +37,25 @@ FAST_RUN = {
 }
 
 
+# configs that ScenarioConfig accepts but whose scenario cannot be built,
+# with the YAML key the error must name
+SCENARIO_ERRORS = {
+    "user_on_its_station": (
+        {
+            "layout": {"fbs_positions": [[0.0, 0.0]], "fue_positions": [[0.0, 0.0]]},
+            "phases": {"m_max": 1, "seed_agents": 1},
+        },
+        "layout.fue_positions",
+    ),
+    "serving_gain_above_one": (
+        {"layout": {"fue_min_distance_m": 0.01, "fue_radius_m": 0.05}},
+        "layout.fue_min_distance_m",
+    ),
+    "negative_pl0": ({"pathloss": {"pl0_db": -5.0}}, "pathloss.pl0_db"),
+    "gain_past_float_range": ({"pathloss": {"pl0_db": -5000.0}}, "pathloss.pl0_db"),
+}
+
+
 def write_yaml(path, data):
     path.write_text(yaml.safe_dump(data), encoding="utf-8")
     return str(path)
@@ -228,6 +247,16 @@ class TestCli:
         path = write_yaml(tmp_path / "c.yaml", {"rings": {"mbs_radii": [3, 2, 1]}})
         assert main(["validate-config", "--config", path]) == 1
         assert "not ascending" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate-config", "run", "oracle"])
+    @pytest.mark.parametrize("case", SCENARIO_ERRORS)
+    def test_scenario_errors_exit_1_naming_the_key(self, tmp_path, capsys, case, command):
+        data, key = SCENARIO_ERRORS[case]
+        path = write_yaml(tmp_path / "c.yaml", data)
+        assert main([command, "--config", path, "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert key in err
 
     def test_module_entry_point(self, tmp_path):
         env = {**os.environ, "PYTHONPATH": str(Path(femtoq.__file__).parents[1])}

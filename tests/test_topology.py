@@ -2,28 +2,17 @@
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from femtoq.config import ConfigError, ScenarioConfig, build_topology
 from femtoq.coordinator import Simulation
-from femtoq.topology import (
-    AgentState,
-    Position,
-    RingRadii,
-    Topology,
-    agent_state,
-    distance,
-    generate_layout,
-    proximity_ratio,
-    ring_index,
-)
-from reference import agent_state as reference_state
-from reference import proximity_ratio as reference_proximity
+from femtoq.topology import AgentState, Position, Topology, distance, generate_layout
+from reference import agent_state, proximity_ratio, ring_index
 
-TABLE_RADII = RingRadii(mbs=(50.0, 150.0, 400.0), mue=(15.0, 50.0, 125.0))
+MBS_RADII = (50.0, 150.0, 400.0)
+MUE_RADII = (15.0, 50.0, 125.0)
 
 
 class TestRingIndex:
@@ -35,12 +24,9 @@ class TestRingIndex:
         assert ring_index(d, [50.0, 150.0, 400.0]) == expected
 
     def test_empty_radii_rejected(self):
-        with pytest.raises(ValueError):
-            ring_index(10.0, [])
-
-    def test_negative_distance_rejected(self):
-        with pytest.raises(ValueError):
-            ring_index(-1.0, [50.0])
+        # ring radii reach the ring index from ScenarioConfig
+        with pytest.raises(ConfigError, match="rings.mbs_radii must be nonempty"):
+            ScenarioConfig(mbs_radii=())
 
     @given(st.floats(min_value=0.0, max_value=1e4), st.floats(min_value=0.0, max_value=1e4))
     def test_monotone(self, d1, d2):
@@ -59,19 +45,18 @@ class TestAgentState:
         mue = Position(0.0, 0.0)
         fbs = Position(0.0, 10.0)  # 10 m to both reference points
         mbs = Position(0.0, 20.0)
-        assert agent_state(fbs, mbs, mue, TABLE_RADII) == AgentState(0, 0)
+        assert agent_state(fbs, mbs, mue, MBS_RADII, MUE_RADII) == AgentState(0, 0)
 
     def test_beyond_all_rings(self):
-        fbs = Position(500.0, 0.0)
-        assert agent_state(fbs, Position(0, 0), Position(0, 0), TABLE_RADII) == AgentState(3, 3)
+        fbs, origin = Position(500.0, 0.0), Position(0.0, 0.0)
+        assert agent_state(fbs, origin, origin, MBS_RADII, MUE_RADII) == AgentState(3, 3)
 
     def test_state_space_size(self):
         # three rings around each reference point give 4 x 4 = 16 states
-        n1, n2 = len(TABLE_RADII.mbs), len(TABLE_RADII.mue)
-        assert (n1 + 1) * (n2 + 1) == 16
+        assert (len(MBS_RADII) + 1) * (len(MUE_RADII) + 1) == 16
 
     def test_radii_must_ascend(self):
-        # RingRadii carries what ScenarioConfig has checked
+        # ring radii reach the ring state as ScenarioConfig has checked them
         with pytest.raises(ConfigError, match="rings.mbs_radii not ascending"):
             ScenarioConfig(mbs_radii=(150.0, 50.0, 400.0))
 
@@ -84,11 +69,17 @@ class TestProximityRatio:
         assert proximity_ratio(Position(12.5, 0.0), Position(0.0, 0.0), 25.0) == 0.5
 
     def test_zero_distance_rejected(self):
-        with pytest.raises(ValueError):
-            proximity_ratio(Position(1.0, 1.0), Position(1.0, 1.0), 25.0)
+        # a femto station on the macro user never reaches the proximity ratio
+        with pytest.raises(ValueError, match="coincident nodes"):
+            Topology(
+                mbs=Position(0.0, 0.0),
+                mue=Position(1.0, 1.0),
+                fbs=(Position(1.0, 1.0),),
+                fue=(Position(2.0, 2.0),),
+            )
 
     def test_nonpositive_threshold_rejected(self):
-        # the vicinity threshold reaches proximity_ratio from ScenarioConfig
+        # the vicinity threshold reaches the proximity ratio from ScenarioConfig
         with pytest.raises(ConfigError, match="rings.d_th_m must be positive"):
             ScenarioConfig(d_th_m=0.0)
 
@@ -140,10 +131,9 @@ class TestGenerateLayout:
         assert topo.m == m  # Topology validation ran in the constructor
 
     def test_state_constant_for_fixed_layout(self):
-        topo = generate_layout(5, 35.0, 10.0, Position(-150, 0), Position(3.5, 3.5), seed=3)
-        states = [agent_state(p, topo.mbs, topo.mue, TABLE_RADII) for p in topo.fbs]
-        again = [agent_state(p, topo.mbs, topo.mue, TABLE_RADII) for p in topo.fbs]
-        assert states == again
+        config = ScenarioConfig(m_max=5, seed=3)
+        states = [a.state for a in Simulation(config).agents]
+        assert states == [a.state for a in Simulation(config).agents]
 
 
 class TestTopologyValidation:
@@ -201,6 +191,6 @@ class TestSimulationGeometry:
         topo = build_topology(config)
         sim = Simulation(config)
         for agent, fbs in zip(sim.agents, topo.fbs, strict=True):
-            expected = reference_state(fbs, topo.mbs, topo.mue, config.mbs_radii, config.mue_radii)
+            expected = agent_state(fbs, topo.mbs, topo.mue, config.mbs_radii, config.mue_radii)
             assert agent.state == expected
-            assert agent.proximity == reference_proximity(fbs, topo.mue, config.d_th_m)
+            assert agent.proximity == proximity_ratio(fbs, topo.mue, config.d_th_m)
