@@ -11,7 +11,12 @@ from typing import Sequence
 
 import numpy as np
 
-from femtoq.channel import GainMatrix, Links, _check_powers
+import csv
+import io
+
+from femtoq.channel import GainMatrix, _check_powers, evaluate_capacities
+from femtoq.cli import DENSITY_COLUMNS
+from femtoq.coordinator import DensityTrace
 from femtoq.learning import ActionSet, LearningParams
 from femtoq.oracle import OracleResult
 from femtoq.reward import QosThresholds
@@ -239,6 +244,42 @@ def proposed_reward(
     return gain - mue_penalty - fue_penalty
 
 
+# -- capacity batches ----------------------------------------------------
+
+
+def batch_capacities(
+    gains: GainMatrix, p_bs_mw: float, noise_mw: float, powers_mw: np.ndarray, ids=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Capacities of a ``(k, m)`` batch of joint actions, one row per action.
+
+    Returns a ``(k,)`` macro-user and a ``(k, m)`` femto-user array, with
+    the arithmetic of the first batched kernel step by step: the gains held
+    as views into the gain matrix for the full set and as fancy-indexed
+    copies for the subset ``ids``, the macro user as one matrix-vector
+    product, the femto users as one ``powers_mw @ g_cross``.
+    """
+    g = gains.as_array()
+    if ids is None:
+        g_fbs_mue, g_cross, mbs_fue = g[1:, 0], g[1:, 1:], p_bs_mw * g[0, 1:]
+    else:
+        idx = 1 + np.asarray(ids, dtype=np.intp)
+        g_fbs_mue, g_cross, mbs_fue = g[idx, 0], g[np.ix_(idx, idx)], p_bs_mw * g[0, idx]
+    c_mue = powers_mw @ g_fbs_mue
+    c_mue += noise_mw
+    np.divide(p_bs_mw * g[0, 0], c_mue, out=c_mue)
+    np.log1p(c_mue, out=c_mue)
+    c_mue /= _LN2
+    signal = powers_mw * np.diag(g_cross)
+    c_fue = powers_mw @ g_cross
+    c_fue -= signal
+    c_fue += mbs_fue
+    c_fue += noise_mw
+    np.divide(signal, c_fue, out=c_fue)
+    np.log1p(c_fue, out=c_fue)
+    c_fue /= _LN2
+    return c_mue, c_fue
+
+
 # -- oracle --------------------------------------------------------------
 
 
@@ -253,20 +294,22 @@ def one_shot_oracle(
     """``oracle.exhaustive_search`` as one batch over the whole enumeration.
 
     Every joint action, in lexicographic order, goes through one
-    ``Links.capacities`` call; the objective is ``c_fue.sum(axis=1)`` and
+    ``batch_capacities`` call; the objective is ``c_fue.sum(axis=1)`` and
     the winner the first index of the maximum, over the feasible rows when
-    there are any and over all rows otherwise.
+    there are any and over all rows otherwise. The winner's capacities come
+    from the one-action path, as the search reports them.
     """
     m, n = gains.m, len(actions)
     digits = np.indices((n,) * m).reshape(m, -1).T
-    links = Links(gains, p_bs_mw, noise_mw)
-    c_mue, c_fue = links.capacities(actions.levels_mw[digits])
+    c_mue, c_fue = batch_capacities(gains, p_bs_mw, noise_mw, actions.levels_mw[digits])
     sums = c_fue.sum(axis=1)
     feasible = (c_fue >= np.asarray(thresholds.fue)).all(axis=1) & (c_mue >= thresholds.mue)
     best = int(np.argmax(np.where(feasible, sums, -np.inf) if feasible.any() else sums))
 
     indices = tuple(int(d) for d in digits[best])
-    c_mue_best, c_fue_best = links.capacities(actions.levels_mw[digits[best]])
+    c_mue_best, c_fue_best = evaluate_capacities(
+        p_bs_mw, actions.levels_mw[digits[best]], gains, noise_mw
+    )
     return OracleResult(
         best_action=indices,
         best_powers_dbm=tuple(float(actions.levels_dbm[i]) for i in indices),
@@ -276,3 +319,24 @@ def one_shot_oracle(
         fue_capacities=tuple(float(c) for c in c_fue_best),
         n_enumerated=n**m,
     )
+
+
+# -- artifacts -----------------------------------------------------------
+
+
+def density_rows(density: DensityTrace, dbm_text: list[str]):
+    """One CSV row per agent per kept iteration; ``dbm_text[a]`` is level a's text."""
+    columns = (c.tolist() for c in density.columns())
+    for iteration, actions, c_mue, c_fue, rewards, delta in zip(*columns):
+        c_mue, delta = repr(c_mue), repr(delta)
+        for aid, a, c, r in zip(density.agent_ids, actions, c_fue, rewards):
+            yield iteration, aid, dbm_text[a], c_mue, repr(c), repr(r), delta
+
+
+def density_csv(density: DensityTrace, levels_dbm: np.ndarray) -> bytes:
+    """The bytes of a density CSV, its rows written by ``csv.writer``."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(DENSITY_COLUMNS)
+    writer.writerows(density_rows(density, [repr(p) for p in levels_dbm.tolist()]))
+    return buf.getvalue().encode("utf-8")

@@ -9,6 +9,7 @@ import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -24,7 +25,8 @@ from femtoq.config import (
     load_config,
     with_pinned_layout,
 )
-from femtoq.coordinator import Simulation
+from femtoq.coordinator import DensityTrace, RunTrace, Simulation
+from reference import density_csv
 
 # config_hash(ScenarioConfig()): it must not move when the hashing code does
 DEFAULT_HASH = "c3a46e82b89de648058c88807e75123ec7b646f1216da2820a76dec161666add"
@@ -420,3 +422,46 @@ class TestCli:
         path = write_yaml(tmp_path / "c.yaml", {"reward": {"name": "mystery"}})
         assert main(["run", "--config", path]) == 1
         assert "not registered" in capsys.readouterr().err
+
+
+def assert_density_csvs_match(trace, out_dir):
+    write_run_artifacts(ScenarioConfig(), trace, out_dir)
+    for m, density in trace.records.items():
+        expected = density_csv(density, trace.levels_dbm)
+        assert (out_dir / f"density_{m:02d}.csv").read_bytes() == expected, f"density {m}"
+
+
+class TestDensityCsv:
+    """The density CSVs byte for byte against ``csv.writer`` over ``reference.density_rows``."""
+
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_runs(self, tmp_path, stride):
+        config = ScenarioConfig(
+            m_max=3, seed_agents=1, n_power=7, max_iterations=700, trace_stride=stride, seed=2
+        )
+        assert_density_csvs_match(Simulation(config).run(), tmp_path)
+
+    def test_odd_floats_single_rows_and_blocks(self, tmp_path):
+        odd = np.array([1e-05, 1e16, -0.0, 0.1, -2.5e-300, 123456789.125, np.nan, -np.inf])
+        levels = np.array([-20.0, 1e-05, -0.0, 1e16])
+        rng = np.random.default_rng(5)
+
+        def trace(agent_ids, n):
+            m = len(agent_ids)
+            return DensityTrace(
+                agent_ids,
+                np.arange(n) * 3,
+                rng.integers(0, len(levels), size=(n, m)),
+                rng.choice(odd, size=n),
+                rng.choice(odd, size=(n, m)),
+                rng.uniform(-1.0, 1.0, size=(n, m)) * 10.0 ** rng.integers(-20, 20, size=(n, m)),
+                rng.choice(odd, size=n),
+            )
+
+        records = {
+            1: trace((4,), 1),  # one station, one kept row
+            2: trace((0, 7), 1),
+            3: trace((2,), 1100),  # one station over several write blocks
+            4: trace((9, 1, 3, 6), 1025),
+        }
+        assert_density_csvs_match(RunTrace((4, 0, 7, 2), levels, [], records), tmp_path)

@@ -1,9 +1,10 @@
 """Byte-identity of the run and oracle artifacts for small fixed scenarios.
 
 The run digests were written from the simulator before the hot loop was
-rewritten, the m=4 oracle digest before the capacity kernels were merged
-and the m=6 one before the oracle enumerated in blocks; any refactor must
-keep them, or re-baseline them on purpose and say why in CHANGES.md.
+rewritten, the m=4 oracle digest before the capacity kernels were merged,
+the m=6 one before the oracle enumerated in blocks and the ten-seed
+``OracleResult`` one before the batch kernel went station-major; any
+refactor must keep them, or re-baseline them on purpose and say why in CHANGES.md.
 """
 
 import hashlib
@@ -15,6 +16,7 @@ import pytest
 from femtoq.cli import run_oracle, write_run_artifacts
 from femtoq.config import ScenarioConfig
 from femtoq.coordinator import Simulation
+from femtoq.oracle import exhaustive_search
 
 STRIDE = 9
 
@@ -136,3 +138,21 @@ def test_oracle_result_digest(tmp_path):
 
 def test_oracle_result_digest_two_prefix_columns(tmp_path):
     assert oracle_digest(ORACLE_CONFIG_TWO_PREFIXES, tmp_path) == ORACLE_GOLDEN_TWO_PREFIXES
+
+
+# sha256 of the OracleResult reprs, one a line, of the default scenario cut
+# to 4 stations and 31 levels at seeds 1-10: 31^4 = 923,521 joint actions
+# each, a 31^3 block per level of the first station
+ORACLE_REPRS_GOLDEN = "38461e055ba177b488d024a7a57c56d9257c1df9be198a5468829ea1c49d80db"
+
+
+def test_oracle_result_reprs_over_seeds():
+    reprs = []
+    for seed in range(1, 11):
+        sim = Simulation(ScenarioConfig(m_max=4, n_power=31, seed=seed))
+        result = exhaustive_search(
+            sim.gains, sim.actions, sim.thresholds, p_bs_mw=sim.p_bs_mw, noise_mw=sim.noise_mw
+        )
+        reprs.append(repr(result))
+    digest = hashlib.sha256("\n".join(reprs).encode("utf-8")).hexdigest()
+    assert digest == ORACLE_REPRS_GOLDEN

@@ -5,11 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from femtoq.channel import GainMatrix, Links, evaluate_capacities
+from femtoq.channel import GainMatrix, evaluate_capacities
 from femtoq.learning import make_action_set
 from femtoq.oracle import _CHUNK, EnumerationCapExceeded, _row_sums, exhaustive_search
 from femtoq.reward import QosThresholds
-from reference import capacity_bps_hz, one_shot_oracle
+from reference import batch_capacities, capacity_bps_hz, one_shot_oracle
 
 NOISE = 1.0
 
@@ -255,7 +255,7 @@ class TestBlockEnumeration:
         # unit symmetric gains: permutations of the optimum tie exactly,
         # and the tied actions fall in more than one block
         digits = np.indices((15,) * 4).reshape(4, -1).T
-        _, c_fue = Links(gains, 1.0, NOISE).capacities(actions.levels_mw[digits])
+        _, c_fue = batch_capacities(gains, 1.0, NOISE, actions.levels_mw[digits])
         sums = c_fue.sum(axis=1)
         tied = sorted(tuple(int(d) for d in row) for row in digits[sums == sums.max()])
         assert len({action[0] for action in tied}) > 1
