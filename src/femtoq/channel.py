@@ -97,6 +97,15 @@ class Links:
     product over a strided view and over a contiguous copy can round
     differently in the last bit, and the golden artifact digests were
     written with exactly this layout.
+
+    A batch's femto-user capacities come out station-major, ``(m, k)``:
+    station j's column of the batch is one contiguous row, so the
+    elementwise steps and the caller's sums and masks run over whole rows
+    instead of m-element ones. The femto interference is
+    ``g_cross.T @ powers.T`` into that layout, which BLAS rounds as
+    ``(powers @ g_cross).T``. The macro user's matrix-vector product
+    stays on the row-major ``(k, m)`` powers: over a column-major copy of
+    them it rounds differently in the last bit.
     """
 
     __slots__ = ("_g_fbs_mue", "_g_cross", "_g_serve", "_mbs_fue", "_signal_mue", "_noise_mw")
@@ -120,10 +129,11 @@ class Links:
         """Capacities (macro user, femto users) in b/s/Hz, log2(1 + SINR).
 
         For ``(m,)`` powers: a float and an ``(m,)`` array; for ``(k, m)``
-        powers: a ``(k,)`` and a ``(k, m)`` array. A batch may pass
-        ``out``, contiguous ``(k,)``, ``(k, m)`` and ``(k, m)`` buffers for
-        the two results and the scratch, to be written instead of
-        allocated; the results are the same to the last bit.
+        powers: a ``(k,)`` and an ``(m, k)`` array, femto user j's
+        capacities in row j. A batch may pass ``out``, contiguous ``(k,)``,
+        ``(m, k)`` and ``(m, k)`` buffers for the two results and the
+        scratch, to be written instead of allocated; the results are the
+        same to the last bit.
         """
         if powers_mw.ndim == 1:
             sinr_mue = self._signal_mue / (powers_mw @ self._g_fbs_mue + self._noise_mw)
@@ -132,20 +142,23 @@ class Links:
             c_mue = math.log1p(sinr_mue) / _LN2
             signal = powers_mw * self._g_serve
             c_fue = powers_mw @ self._g_cross
+            mbs_fue = self._mbs_fue
         else:
             k, m = powers_mw.shape
-            c_mue, c_fue, signal = out or (np.empty(k), np.empty((k, m)), np.empty((k, m)))
+            c_mue, c_fue, signal = out or (np.empty(k), np.empty((m, k)), np.empty((m, k)))
             np.matmul(powers_mw, self._g_fbs_mue, out=c_mue)
             c_mue += self._noise_mw
             np.divide(self._signal_mue, c_mue, out=c_mue)
             np.log1p(c_mue, out=c_mue)
             c_mue /= _LN2
-            np.multiply(powers_mw, self._g_serve, out=signal)
-            np.matmul(powers_mw, self._g_cross, out=c_fue)
+            for j in range(m):
+                np.multiply(powers_mw[:, j], self._g_serve[j], out=signal[j])
+            np.matmul(self._g_cross.T, powers_mw.T, out=c_fue)
+            mbs_fue = self._mbs_fue[:, None]
         # one buffer carries the received power, then interference plus
         # noise, the SINR and the capacity
         c_fue -= signal
-        c_fue += self._mbs_fue
+        c_fue += mbs_fue
         c_fue += self._noise_mw
         np.divide(signal, c_fue, out=c_fue)
         np.log1p(c_fue, out=c_fue)

@@ -13,10 +13,15 @@ fixes the first ``m - k`` agents (the prefix) by filling only their
 columns, prefix after prefix in lexicographic order, so the blocks
 together walk the joint actions in ascending lexicographic order.
 
-The femto sum capacity of each row is added column by column, in the order
-numpy's ``sum(axis=1)`` adds a row (see :func:`_row_sums`): the objective,
-and so the maximizer and every tie, is the same to the last bit as a
-single ``sum(axis=1)`` over the whole enumeration.
+The block stays row-major, one joint action a row, as the macro user's
+matrix-vector product needs it; the femto-user capacities come back
+station-major, ``(m, n**k)`` (see ``channel.Links``), so each station's
+capacities over the block are one contiguous row. The femto sum capacity
+of each joint action is added station row by station row, in the order
+numpy's ``sum(axis=1)`` adds a row of the row-major layout (see
+:func:`_row_sums`), and the QoS mask is built a station row at a time:
+the objective, and so the maximizer and every tie, is the same to the
+last bit as a single ``sum(axis=1)`` over the whole enumeration.
 """
 
 from __future__ import annotations
@@ -97,7 +102,8 @@ def exhaustive_search(
     rows = n**k
     work = np.empty((3 * m + 1) * rows)
     size = rows * m
-    block, c_fue, signal = (work[i * size : (i + 1) * size].reshape(rows, m) for i in range(3))
+    block = work[:size].reshape(rows, m)
+    c_fue, signal = (work[i * size : (i + 1) * size].reshape(m, rows) for i in (1, 2))
     c_mue = work[3 * size :]
     block[:, p:] = levels[np.indices((n,) * k).reshape(k, -1).T]
 
@@ -119,7 +125,7 @@ def exhaustive_search(
         feasible = c_mue >= thresholds.mue
         if feasible.any():
             for j in range(m):
-                feasible &= c_fue[:, j] >= q_fue[j]
+                feasible &= c_fue[j] >= q_fue[j]
         if feasible.any():
             masked = np.where(feasible, sums, -np.inf)
             i = int(np.argmax(masked))
@@ -143,30 +149,29 @@ def exhaustive_search(
 
 
 def _row_sums(c: np.ndarray) -> np.ndarray:
-    """``c.sum(axis=1)`` of a C-ordered 2-D array, added column by column.
+    """``c.T.sum(axis=1)`` of a station-major ``(m, k)`` array, added row by row.
 
-    numpy reduces each row with its pairwise sum, whose inner loop here
-    would run over only m elements per call. Whole columns are added
-    instead, in the same order, so each row sum rounds the same way: left
-    to right below 8 columns; from 8 on, 8 running sums combined as
-    ((0+1)+(2+3))+((4+5)+(6+7)) before the tail. Only the sign of an
-    all-zero sum can differ (numpy starts from +0.0). Above 128 columns,
-    at least 2**129 joint actions that no search finishes, ``c`` goes to
-    ``c.sum(axis=1)`` itself.
+    Each of the k sums is one joint action's femto sum, and it rounds as
+    numpy's pairwise sum of that action's m capacities in a contiguous
+    row would: left to right below 8 stations; from 8 on, 8 running sums
+    combined as ((0+1)+(2+3))+((4+5)+(6+7)) before the tail. Only the sign
+    of an all-zero sum can differ (numpy starts from +0.0). Above 128
+    stations, at least 2**129 joint actions that no search finishes, the
+    sums come from a row-major copy.
     """
-    n = c.shape[1]
+    n = c.shape[0]
     if n < 8:
-        total = c[:, 0].copy()
+        total = c[0].copy()
         for j in range(1, n):
-            total += c[:, j]
+            total += c[j]
         return total
     if n <= 128:
         body = n - n % 8
-        r = [c[:, j] for j in range(8)]
+        r = [c[j] for j in range(8)]
         for i in range(8, body, 8):
-            r = [r[j] + c[:, i + j] for j in range(8)]
+            r = [r[j] + c[i + j] for j in range(8)]
         total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
         for j in range(body, n):
-            total += c[:, j]
+            total += c[j]
         return total
-    return c.sum(axis=1)
+    return c.T.copy().sum(axis=1)

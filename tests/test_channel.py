@@ -18,6 +18,7 @@ from femtoq.config import ScenarioConfig, build_topology
 from femtoq.coordinator import Simulation
 from femtoq.topology import Position, Topology
 from reference import (
+    batch_capacities,
     capacity_bps_hz,
     fbs_to_fue,
     fbs_to_mue,
@@ -276,17 +277,17 @@ class TestLinks:
         p_bs, noise = 1e4, 3.98e-11
         batch = rng.uniform(0.0, 300.0, size=(6, m))
         c_mue, c_fue = Links(g, p_bs, noise).capacities(batch)
-        assert c_mue.shape == (6,) and c_fue.shape == (6, m)
+        assert c_mue.shape == (6,) and c_fue.shape == (m, 6)
         for k, powers in enumerate(batch):
             row_mue, row_fue = Links(g, p_bs, noise).capacities(powers)
             assert c_mue[k] == pytest.approx(row_mue, rel=1e-12)
-            assert c_fue[k] == pytest.approx(row_fue, rel=1e-12)
+            assert c_fue[:, k] == pytest.approx(row_fue, rel=1e-12)
             assert c_mue[k] == pytest.approx(
                 capacity_bps_hz(mue_sinr(p_bs, powers, g, noise)), rel=1e-12
             )
             for i in range(m):
                 expected = capacity_bps_hz(fue_sinr(i, p_bs, powers, g, noise))
-                assert c_fue[k, i] == pytest.approx(expected, rel=1e-12)
+                assert c_fue[i, k] == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("ids", [None, [3, 0, 5]])
     def test_batch_into_buffers_is_bit_identical(self, ids):
@@ -298,12 +299,59 @@ class TestLinks:
         c_mue, c_fue = links.capacities(batch)
         # contiguous slices of one workspace, as the oracle passes them
         work = np.full(500 * (2 * m + 1), np.nan)
-        c_buf, s_buf = work[500:].reshape(2, 500, m)
+        c_buf, s_buf = work[500:].reshape(2, m, 500)
         out = (work[:500], c_buf, s_buf)
         got_mue, got_fue = links.capacities(batch, out=out)
         assert got_mue is out[0] and got_fue is out[1]
         assert got_mue.tobytes() == c_mue.tobytes()
         assert got_fue.tobytes() == c_fue.tobytes()
+
+    # (m, rows): blocks the oracle enumerates, n**k rows for the most
+    # stations k whose n**k fits 2**15 rows: 31 levels at m <= 4 (and 15,
+    # as in the golden oracle digest), 25 at m=5, then 9, 6, 5, 4 and 3
+    @pytest.mark.parametrize(
+        "m, rows",
+        [(1, 31), (2, 961), (3, 29791), (4, 29791), (4, 3375), (5, 15625), (6, 6561),
+         (6, 7776), (7, 15625), (8, 16384), (9, 19683)],
+    )
+    @pytest.mark.parametrize("subset", [False, True], ids=["all", "subset"])
+    def test_station_major_batch_is_the_row_major_one_transposed(self, m, rows, subset):
+        # gains and powers spread over decades, so a change in rounding
+        # shows in the last bits of some of the rows * m capacities
+        rng = np.random.default_rng(m * rows)
+        total = m + 3 if subset else m
+        g = GainMatrix(10.0 ** rng.uniform(-10.0, 0.0, size=(total + 1, total + 1)))
+        ids = rng.permutation(total)[:m].tolist() if subset else None
+        batch = 10.0 ** rng.uniform(-2.0, 2.5, size=(rows, m))
+        expected_mue, expected_fue = batch_capacities(g, 1e4, 3.98e-11, batch, ids=ids)
+
+        links = Links(g, 1e4, 3.98e-11, ids=ids)
+        c_mue, c_fue = links.capacities(batch)
+        assert c_fue.shape == (m, rows)
+        assert c_mue.tobytes() == expected_mue.tobytes()
+        assert c_fue.T.tobytes() == expected_fue.tobytes()
+
+        # into one workspace laid out as the oracle lays it out
+        work = np.full((3 * m + 1) * rows, np.nan)
+        block = work[: rows * m].reshape(rows, m)
+        block[:] = batch
+        c_buf, s_buf = work[rows * m : 3 * rows * m].reshape(2, m, rows)
+        got_mue, got_fue = links.capacities(block, out=(work[3 * rows * m :], c_buf, s_buf))
+        assert got_mue.tobytes() == expected_mue.tobytes()
+        assert got_fue.T.tobytes() == expected_fue.tobytes()
+
+    @pytest.mark.parametrize("m, rows", [(1, 31), (3, 29791), (5, 15625), (9, 19683)])
+    @pytest.mark.parametrize("subset", [False, True], ids=["all", "subset"])
+    def test_blas_rounds_the_transposed_product_alike(self, m, rows, subset):
+        # the station-major kernel rests on this: BLAS computes
+        # g_cross.T @ powers.T exactly as the transpose of powers @ g_cross,
+        # over the strided view of the gain matrix and over a copy
+        rng = np.random.default_rng(rows)
+        g = 10.0 ** rng.uniform(-10.0, 0.0, size=(m + 1, m + 1))
+        g_cross = np.ascontiguousarray(g[1:, 1:]) if subset else g[1:, 1:]
+        powers = 10.0 ** rng.uniform(-2.0, 2.5, size=(rows, m))
+        station_major = np.matmul(g_cross.T, powers.T, out=np.empty((m, rows)))
+        assert station_major.T.tobytes() == (powers @ g_cross).tobytes()
 
     def test_subset_matches_its_own_gain_matrix(self):
         # stations [2, 0] of a 3-station matrix are the 2-station matrix of

@@ -242,7 +242,7 @@ class TestBlockEnumeration:
         # show in the last bits
         rng = np.random.default_rng(m)
         c = rng.uniform(0.0, 10.0, size=(257, m)) * 10.0 ** rng.uniform(-8, 8, size=(257, m))
-        assert np.array_equal(_row_sums(c), c.sum(axis=1))
+        assert np.array_equal(_row_sums(np.ascontiguousarray(c.T)), c.sum(axis=1))
 
     @pytest.mark.parametrize("mue", [1e-9, 1e6], ids=["feasible", "infeasible"])
     def test_ties_across_blocks_go_to_the_smallest_action(self, mue):
