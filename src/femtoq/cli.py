@@ -174,7 +174,6 @@ def run_experiment(config: ScenarioConfig, *, quiet: bool = False) -> Path:
 
 def run_oracle(config: ScenarioConfig, *, quiet: bool = False) -> Path:
     out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     sim = Simulation(config)  # the scenario, built as a run builds it
     result = exhaustive_search(
         sim.gains,
@@ -207,6 +206,8 @@ def run_oracle(config: ScenarioConfig, *, quiet: bool = False) -> Path:
                 file=sys.stderr,
             )
 
+    # made only now, so a refused search leaves no directory behind
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(
         out_dir / "oracle_result.csv",
         ORACLE_COLUMNS,

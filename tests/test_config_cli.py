@@ -343,10 +343,23 @@ class TestCli:
         manifest_b = json.loads((out_b / "manifest.json").read_text())
         assert manifest_a["config_hash"] != manifest_b["config_hash"]
 
-    def test_oracle_cap_exit_3(self, tmp_path, capsys):
+    def test_oracle_cap_exit_3(self, tmp_path, capsys, monkeypatch):
         # default scenario: 31^15 joint actions is far past the cap
+        monkeypatch.chdir(tmp_path)
         assert main(["oracle", "--quiet"]) == 3
         assert "31^15" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []  # not even the default output directory
+
+    @pytest.mark.parametrize("refusal, code", [("cap", 3), ("scenario", 1)])
+    def test_refused_oracle_leaves_out_absent(self, tmp_path, refusal, code):
+        if refusal == "cap":
+            config = {}  # the default 31^15 joint actions
+        else:
+            config = SCENARIO_ERRORS["user_on_its_station"][0]
+        path = write_yaml(tmp_path / "c.yaml", config)
+        out = tmp_path / "out"
+        assert main(["oracle", "--config", path, "--out", str(out), "--quiet"]) == code
+        assert not out.exists()
 
     def test_oracle_writes_result_and_gap(self, tmp_path):
         data = dict(FAST_RUN)
