@@ -47,6 +47,7 @@ DENSITY_COLUMNS = (
     "reward",
     "max_q_delta",
 )
+_WRITE_BLOCK = 512  # kept iterations formatted and written at once
 ORACLE_COLUMNS = (
     "m",
     "n_power",
@@ -106,22 +107,53 @@ def _fmt(value) -> str:
     return repr(float(value)) if isinstance(value, float) else str(value)
 
 
-def _density_rows(density: DensityTrace, dbm_text: list[str]):
-    """One CSV row per agent per kept iteration, in ``_fmt``'s text; ``dbm_text[a]`` is level a."""
-    columns = (c.tolist() for c in density.columns())
-    for iteration, actions, c_mue, c_fue, rewards, delta in zip(*columns):
-        c_mue, delta = repr(c_mue), repr(delta)
-        for aid, a, c, r in zip(density.agent_ids, actions, c_fue, rewards):
-            yield iteration, aid, dbm_text[a], c_mue, repr(c), repr(r), delta
+def _texts(values: np.ndarray) -> list[str]:
+    """``repr`` of every value, in C order, cut from the repr of one list."""
+    return repr(values.ravel().tolist())[1:-1].split(", ")
+
+
+def _write_density_csv(path: Path, density: DensityTrace, dbm_text: np.ndarray) -> None:
+    """One line per agent per kept iteration; ``dbm_text[a]`` is level a's text.
+
+    Each column is formatted at once, the per-iteration ones repeated
+    across the agents, ``_WRITE_BLOCK`` kept iterations at a time, so no
+    file is held in memory whole. The lines are those ``csv.writer``
+    writes: every field is a number, so none is quoted, and each line
+    ends in ``\r\n``.
+    """
+    m = len(density.agent_ids)
+    agent_text = [str(a) for a in density.agent_ids]
+    line = "{},{},{},{},{},{},{}\r\n".format
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(DENSITY_COLUMNS) + "\r\n")
+        for start in range(0, len(density), _WRITE_BLOCK):
+            iteration, actions, c_mue, c_fue, rewards, delta = (
+                c[start : start + _WRITE_BLOCK] for c in density.columns()
+            )
+            n = len(iteration)
+            iteration, c_mue, delta = (
+                np.repeat(np.array(_texts(c), dtype=object), m) for c in (iteration, c_mue, delta)
+            )
+            lines = map(
+                line,
+                iteration,
+                agent_text * n,
+                dbm_text[actions.ravel()],
+                c_mue,
+                _texts(c_fue),
+                _texts(rewards),
+                delta,
+            )
+            fh.write("".join(lines))
 
 
 def write_run_artifacts(config: ScenarioConfig, trace: RunTrace, out_dir: Path) -> dict:
     """Write the summary, per-density traces, per-station plot data and manifest.
 
-    Each density CSV is formatted from its trace's columns a row at a time.
+    Each density CSV is formatted from its trace's columns a column at a time.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
-    dbm_text = [repr(p) for p in trace.levels_dbm.tolist()]
+    dbm_text = np.array(_texts(trace.levels_dbm), dtype=object)
     save_config(config, out_dir / "effective_config.yaml")
 
     _write_csv(
@@ -131,9 +163,7 @@ def write_run_artifacts(config: ScenarioConfig, trace: RunTrace, out_dir: Path) 
     )
 
     for m, density in trace.records.items():
-        _write_csv(
-            out_dir / f"density_{m:02d}.csv", DENSITY_COLUMNS, _density_rows(density, dbm_text)
-        )
+        _write_density_csv(out_dir / f"density_{m:02d}.csv", density, dbm_text)
 
     _write_csv(
         out_dir / "plot_fue_capacities.csv",
