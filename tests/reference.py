@@ -6,13 +6,12 @@ link, one agent or one group at a time, so a test can compare the two.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from typing import Sequence
 
 import numpy as np
-
-import csv
-import io
 
 from femtoq.channel import GainMatrix, _check_powers, evaluate_capacities
 from femtoq.cli import DENSITY_COLUMNS
@@ -253,7 +252,7 @@ def batch_capacities(
     """Capacities of a ``(k, m)`` batch of joint actions, one row per action.
 
     Returns a ``(k,)`` macro-user and a ``(k, m)`` femto-user array, with
-    the arithmetic of the first batched kernel step by step: the gains held
+    the row-major batch arithmetic step by step: the gains held
     as views into the gain matrix for the full set and as fancy-indexed
     copies for the subset ``ids``, the macro user as one matrix-vector
     product, the femto users as one ``powers_mw @ g_cross``.
