@@ -31,7 +31,7 @@ from .coordinator import (
     check_constraints,
     jain_index,
 )
-from .learning import ActionSet, LearningParams, epsilon_at, make_action_set
+from .learning import ActionSet, LearningParams
 from .oracle import EnumerationCapExceeded, OracleResult, exhaustive_search
 from .reward import QosThresholds
 from .topology import (

@@ -123,8 +123,13 @@ class ScenarioConfig:
             if any(a >= b for a, b in zip(radii, radii[1:])):
                 raise ConfigError(f"rings.{name} not ascending")
         fue_q = self.fue_thresholds()
-        if len(fue_q) != self.m_max or any(q <= 0 for q in fue_q):
-            raise ConfigError("qos.fue_min_capacity must be positive: one value or one per station")
+        if len(fue_q) != self.m_max:
+            raise ConfigError(
+                f"qos.fue_min_capacity has {len(fue_q)} values for phases.m_max = {self.m_max}"
+                " stations: give one value or one per station"
+            )
+        if any(q <= 0 for q in fue_q):
+            raise ConfigError(f"qos.fue_min_capacity must be positive, got {self.fue_min_capacity}")
         if self.reward_name not in REWARDS:
             raise ConfigError(
                 f"reward.name {self.reward_name!r} is not registered; "

@@ -22,7 +22,7 @@ import numpy as np
 
 from .channel import Links, build_gain_matrix, dbm_to_mw
 from .config import ADMISSION_STREAM, AGENT_STREAM, ScenarioConfig, build_topology, geometry_error
-from .learning import ActionSet, LearningParams, epsilon_at, make_action_set
+from .learning import ActionSet, LearningParams, explore_until
 from .reward import REWARDS, QosThresholds, RewardFunction
 from .topology import AgentState, distance
 
@@ -191,29 +191,29 @@ class DensityStep:
 
     Each iteration takes one ``argmax`` per row: it is the greedy action
     and, read before the update, its entry is the row maximum of the TD
-    target. Exploring agents then draw from their own generators, in agent
-    order. After the update, each sharing group's rows are replaced by
-    their mean (see ``SharingGroups``).
+    target. On iterations below the exploration horizon (``explore_until``)
+    the agents then draw from their own generators, in agent order. After
+    the update, each sharing group's rows are replaced by their mean (see
+    ``SharingGroups``).
 
     The per-iteration Q-delta is the largest absolute entry change across
     the whole iteration (update plus sharing), which is what the
     convergence detector consumes. A row outside a sharing group changes
     only at its updated entry, so only group rows are compared in full.
-    Once the matrix holds a NaN or an infinity the full diff is NaN on
-    every later iteration (an unchanged infinity gives inf - inf, and no
-    update turns a non-finite entry finite again), so the delta is NaN
-    from then on without comparing anything.
+    The gathered rows must be finite, or the constructor raises
+    ``FloatingPointError``. A finite entry can only turn NaN or infinite
+    through a non-finite change, so ``step`` checks the rows when the delta
+    is not finite and raises on the iteration an entry turns.
 
-    The delta stays at the size of the exploration noise until the
-    epsilon-schedule stops exploring, so ``iterations_to_converge`` comes
-    out near ``explore_fraction * max_iterations + window`` for every
-    non-trivial step: it measures the schedule, not how fast learning
-    settled.
+    The delta stays at the size of the exploration noise until the horizon,
+    so ``iterations_to_converge`` comes out near ``explore_until + window``
+    for every non-trivial step: it measures the schedule, not how fast
+    learning settled.
 
-    ``step`` holds on to the arrays of the last iteration and writes no
-    trace. ``keep`` copies them into row ``kept`` of ``trace``, a block
-    allocated once for every row ``run`` can keep; ``run`` keeps on the
-    stride and returns the block trimmed to its ``kept`` rows.
+    ``step`` writes no trace; it returns the iteration's ``actions, c_mue,
+    c_fue, rewards, delta``. ``run`` copies them into row ``kept`` of
+    ``trace``, a block allocated once for every row it can keep, and
+    returns the block trimmed to its ``kept`` rows.
     """
 
     def __init__(self, sim: "Simulation", agents: list[Agent], *, sharing: bool):
@@ -228,17 +228,19 @@ class DensityStep:
         self._buf = np.zeros((m + 1, n_actions))
         self._buf[:m] = sim.q[self._ids]
         self._qmat = self._buf[:m]
+        self._check_finite(0)
         self._flat = self._qmat.reshape(-1)  # a view: the rows are contiguous
         self._row_start = np.arange(m) * n_actions
         self._groups = SharingGroups([a.state for a in agents] if sharing else [])
         self._draws = [(a.rng.random, a.rng.integers) for a in agents]
-        self._finite = bool(np.isfinite(self._qmat).all())
+        params = sim.params
+        self._explore_until = explore_until(
+            params.epsilon, params.explore_fraction, params.max_iterations
+        )
         self._streak = 0
         self.iterations_run = 0
         self.converged = False
-        # (iteration, actions, c_mue, c_fue, rewards, delta) of the last iteration
-        self._last: tuple | None = None
-        n = -(-sim.params.max_iterations // sim.config.trace_stride) + 1
+        n = -(-params.max_iterations // sim.config.trace_stride) + 1
         ints = (np.zeros(n, np.intp), np.zeros((n, m), np.intp))
         floats = (np.zeros(n), np.zeros((n, m)), np.zeros((n, m)), np.zeros(n))
         self.trace = DensityTrace(self._agent_ids, *ints, *floats)
@@ -248,17 +250,19 @@ class DensityStep:
     def m(self) -> int:
         return len(self._agent_ids)
 
-    def step(self, iteration: int) -> None:
-        """Run one synchronous iteration: select, evaluate, reward, update, share."""
+    def step(self, iteration: int) -> tuple[np.ndarray, float, np.ndarray, np.ndarray, float]:
+        """Run one synchronous iteration: select, evaluate, reward, update, share.
+
+        Returns the iteration's ``actions, c_mue, c_fue, rewards, delta``.
+        """
         sim = self._sim
         params = sim.params
         qmat, flat, groups = self._qmat, self._flat, self._groups
 
         actions = qmat.argmax(axis=1)
         row_max = flat[self._row_start + actions]
-        eps = epsilon_at(iteration, params)
-        if eps > 0.0:
-            n_actions = qmat.shape[1]
+        if iteration < self._explore_until:
+            eps, n_actions = params.epsilon, qmat.shape[1]
             for i, (random, integers) in enumerate(self._draws):
                 if random() < eps:
                     actions[i] = integers(n_actions)
@@ -278,53 +282,43 @@ class DensityStep:
             change[groups.members] = np.abs(groups.share(self._buf) - before).max(axis=1)
         else:
             flat[pos] = new
-        delta = float(change.max()) if self._finite else math.nan
-        self._finite = math.isfinite(delta)
+        delta = float(change.max())
+        if not math.isfinite(delta):
+            self._check_finite(iteration + 1)
         self._streak = self._streak + 1 if delta < sim.config.convergence_tolerance else 0
-
-        self._last = (iteration, actions, c_mue, c_fue, rewards, delta)
-
-    def keep(self) -> None:
-        """Copy the last iteration ``step`` ran into row ``kept`` of ``trace``."""
-        if self._last is None:
-            raise RuntimeError("no iteration has run yet")
-        t, k = self.trace, self.kept
-        iteration, actions, c_mue, c_fue, rewards, delta = self._last
-        t.iteration[k], t.actions[k], t.c_mue[k] = iteration, actions, c_mue
-        t.c_fue[k], t.rewards[k], t.max_q_delta[k] = c_fue, rewards, delta
-        self.kept = k + 1
+        return actions, c_mue, c_fue, rewards, delta
 
     def run(self) -> tuple[DensitySummary, DensityTrace]:
-        """Iterate to convergence or the budget, then check, write back and summarize.
+        """Iterate to convergence or the budget, then write back and summarize.
 
         Every ``trace_stride``-th iteration is kept, and the last one too.
         """
         sim = self._sim
         stride = sim.config.trace_stride
         window = sim.config.convergence_window
-        step, keep = self.step, self.keep
-        for iteration in range(sim.params.max_iterations):
-            step(iteration)
-            if iteration % stride == 0:
-                keep()
-            if self._streak >= window:
-                self.converged = True
+        last = sim.params.max_iterations - 1
+        step, t, k = self.step, self.trace, 0
+        for iteration in range(last + 1):
+            actions, c_mue, c_fue, rewards, delta = step(iteration)
+            converged = self._streak >= window
+            if iteration % stride == 0 or converged or iteration == last:
+                t.iteration[k], t.actions[k], t.c_mue[k] = iteration, actions, c_mue
+                t.c_fue[k], t.rewards[k], t.max_q_delta[k] = c_fue, rewards, delta
+                k += 1
+            if converged:
                 break
-        self.iterations_run = iteration + 1
-        if iteration % stride:
-            keep()
-        self._check_finite()
+        self.iterations_run, self.converged, self.kept = iteration + 1, converged, k
         sim.q[self._ids] = self._qmat
-        self.trace = self.trace.head(self.kept)
+        self.trace = t.head(k)
         return self._summary(), self.trace
 
-    def _check_finite(self) -> None:
+    def _check_finite(self, iterations: int) -> None:
         bad = ~np.isfinite(self._qmat).all(axis=1)
         if bad.any():
             agent_id = self._agent_ids[int(bad.argmax())]
             raise FloatingPointError(
                 f"agent {agent_id} has a non-finite Q-value at density m={self.m} "
-                f"after {self.iterations_run} iterations"
+                f"after {iterations} iterations"
             )
 
     def _summary(self) -> DensitySummary:
@@ -367,9 +361,7 @@ class Simulation:
     def __init__(self, config: ScenarioConfig, *, reward_fn: RewardFunction | None = None):
         self.config = config
         self.topology = build_topology(config)
-        self.actions: ActionSet = make_action_set(
-            config.p_min_dbm, config.p_max_dbm, config.n_power
-        )
+        self.actions = ActionSet(config.p_min_dbm, config.p_max_dbm, config.n_power)
         self.params = LearningParams(
             alpha=config.alpha,
             gamma=config.gamma,

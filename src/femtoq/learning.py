@@ -1,7 +1,8 @@
-"""Q-learning parameters, the discrete power action set and the exploration schedule."""
+"""Q-learning parameters, the discrete power action set and the exploration horizon."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,25 +12,23 @@ import numpy as np
 class LearningParams:
     """Hyperparameters for the per-agent Q-learning loop, as checked by config."""
 
-    alpha: float = 0.5
-    gamma: float = 0.9
-    epsilon: float = 0.1
-    explore_fraction: float = 0.8
-    max_iterations: int = 50_000
+    alpha: float
+    gamma: float
+    epsilon: float
+    explore_fraction: float
+    max_iterations: int
 
 
 class ActionSet:
-    """Discrete transmit power levels, uniformly spaced in dBm."""
+    """``n`` transmit power levels, uniformly spaced in dBm, both endpoints included.
+
+    ``ScenarioConfig`` checks that ``n >= 2`` and ``p_min_dbm < p_max_dbm``.
+    """
 
     __slots__ = ("levels_dbm", "levels_mw")
 
-    def __init__(self, levels_dbm: np.ndarray):
-        levels = np.asarray(levels_dbm, dtype=float)
-        if levels.ndim != 1 or levels.size < 2:
-            raise ValueError("an action set needs at least two power levels")
-        if np.any(np.diff(levels) <= 0):
-            raise ValueError("power levels must be strictly ascending")
-        levels = levels.copy()
+    def __init__(self, p_min_dbm: float, p_max_dbm: float, n: int):
+        levels = np.linspace(p_min_dbm, p_max_dbm, n)
         levels.setflags(write=False)
         self.levels_dbm = levels
         mw = 10.0 ** (levels / 10.0)
@@ -40,13 +39,10 @@ class ActionSet:
         return self.levels_dbm.size
 
 
-def make_action_set(p_min_dbm: float, p_max_dbm: float, n: int) -> ActionSet:
-    """Build ``n`` uniformly spaced power levels inclusive of both endpoints."""
-    return ActionSet(np.linspace(p_min_dbm, p_max_dbm, n))
+def explore_until(epsilon: float, explore_fraction: float, max_iterations: int) -> int:
+    """The first greedy iteration: ceil(explore_fraction * max_iterations), 0 if epsilon is 0.
 
-
-def epsilon_at(iteration: int, params: LearningParams) -> float:
-    """Exploration rate at an iteration: constant early, zero afterwards."""
-    if iteration < params.explore_fraction * params.max_iterations:
-        return params.epsilon
-    return 0.0
+    Iterations below it explore with probability ``epsilon``. For an
+    integer i, ``i < ceil(x)`` holds exactly when ``i < x``.
+    """
+    return math.ceil(explore_fraction * max_iterations) if epsilon > 0.0 else 0

@@ -16,7 +16,7 @@ import numpy as np
 from femtoq.channel import GainMatrix, _check_powers, evaluate_capacities
 from femtoq.cli import DENSITY_COLUMNS
 from femtoq.coordinator import DensityTrace
-from femtoq.learning import ActionSet, LearningParams
+from femtoq.learning import ActionSet
 from femtoq.oracle import OracleResult
 from femtoq.reward import QosThresholds
 from femtoq.topology import AgentState, Position, Topology, distance
@@ -184,7 +184,7 @@ def select_action(qrow: np.ndarray, eps: float, rng: np.random.Generator) -> int
     return int(np.argmax(qrow))
 
 
-def q_update(row: np.ndarray, action: int, reward: float, params: LearningParams) -> float:
+def q_update(row: np.ndarray, action: int, reward: float, alpha: float, gamma: float) -> float:
     """One-step temporal-difference update of an agent's Q-row; returns the new entry.
 
     Q(a) <- (1 - alpha) Q(a) + alpha (R + gamma max_a' Q(a')). An agent
@@ -192,8 +192,8 @@ def q_update(row: np.ndarray, action: int, reward: float, params: LearningParams
     """
     if not 0 <= action < len(row):
         raise IndexError(f"action {action} out of range for {len(row)} levels")
-    target = reward + params.gamma * float(row.max())
-    new_value = (1.0 - params.alpha) * float(row[action]) + params.alpha * target
+    target = reward + gamma * float(row.max())
+    new_value = (1.0 - alpha) * float(row[action]) + alpha * target
     row[action] = new_value
     return new_value
 

@@ -26,6 +26,7 @@ from femtoq.config import (
     with_pinned_layout,
 )
 from femtoq.coordinator import DensityTrace, RunTrace, Simulation
+from femtoq.topology import Topology
 from reference import density_csv
 
 # config_hash(ScenarioConfig()): it must not move when the hashing code does
@@ -171,9 +172,10 @@ class TestConfigValidation:
             config_from_dict({"layout": {"fbs_positions": [[0.0, 0.0]]}, "phases": {"m_max": 1}})
 
     def test_per_station_thresholds_validated(self):
-        with pytest.raises(ConfigError, match="fue_min_capacity"):
+        count = r"qos.fue_min_capacity has 2 values for phases.m_max = 3 stations"
+        with pytest.raises(ConfigError, match=count):
             config_from_dict({"qos": {"fue_min_capacity": [1.0, 1.0]}, "phases": {"m_max": 3}})
-        with pytest.raises(ConfigError, match="fue_min_capacity"):
+        with pytest.raises(ConfigError, match="qos.fue_min_capacity must be positive"):
             config_from_dict({"qos": {"fue_min_capacity": [1.0, -1.0]}, "phases": {"m_max": 2}})
         ok = config_from_dict({"qos": {"fue_min_capacity": [1.0, 2.0]}, "phases": {"m_max": 2}})
         assert ok.fue_thresholds() == (1.0, 2.0)
@@ -237,6 +239,21 @@ class TestConfigRoundTrip:
         write_yaml(path, config_to_dict(pinned))
         reloaded = load_config(path)
         assert build_topology(reloaded) == topo
+
+    def test_pinned_full_layout_keeps_per_station_thresholds(self):
+        config = ScenarioConfig(m_max=5, fue_min_capacity=(1.0, 2.0, 3.0, 4.0, 5.0))
+        pinned = with_pinned_layout(config, build_topology(config))
+        assert pinned.fue_min_capacity == config.fue_min_capacity
+        assert pinned.fue_thresholds() == config.fue_thresholds()
+
+    def test_pinned_sub_layout_names_the_threshold_count(self):
+        # positive per-station thresholds for 5 stations cannot follow a 4-station layout
+        config = ScenarioConfig(m_max=5, fue_min_capacity=(1.0,) * 5)
+        topo = build_topology(config)
+        sub = Topology(mbs=topo.mbs, mue=topo.mue, fbs=topo.fbs[:4], fue=topo.fue[:4])
+        count = r"qos.fue_min_capacity has 5 values for phases.m_max = 4 stations"
+        with pytest.raises(ConfigError, match=count):
+            with_pinned_layout(config, sub)
 
 
 class TestCli:

@@ -43,16 +43,15 @@ def tiny_config(**overrides):
     return ScenarioConfig(**defaults)
 
 
-def kept_row(step):
-    """Keep the step's last iteration and return its row of ``step.trace``."""
-    step.keep()
-    t, k = step.trace, step.kept - 1
+def step_row(step, iteration):
+    """Run one iteration of ``step`` and return what it reports, by trace column."""
+    actions, c_mue, c_fue, rewards, delta = step.step(iteration)
     return SimpleNamespace(
-        actions=t.actions[k].tolist(),
-        c_mue=t.c_mue[k],
-        c_fue=t.c_fue[k].tolist(),
-        rewards=t.rewards[k].tolist(),
-        max_q_delta=t.max_q_delta[k],
+        actions=actions.tolist(),
+        c_mue=c_mue,
+        c_fue=c_fue.tolist(),
+        rewards=rewards.tolist(),
+        max_q_delta=delta,
     )
 
 
@@ -202,8 +201,7 @@ class TestDensityStep:
         config = tiny_config(m_max=1, seed_agents=1, explore_fraction=0.0)
         sim = Simulation(config)
         step = DensityStep(sim, [sim.agents[0]], sharing=False)
-        step.step(0)
-        record = kept_row(step)
+        record = step_row(step, 0)
         assert record.actions == [0]  # zero Q-row ties break to lowest power
         assert sim.actions.levels_dbm[record.actions].tolist() == [config.p_min_dbm]
         assert record.rewards[0] != 0.0
@@ -214,11 +212,10 @@ class TestDensityStep:
         sim.q[:] = np.random.default_rng(0).normal(size=sim.q.shape)
         step = DensityStep(sim, list(sim.agents), sharing=False)
         before = step._qmat.copy()
-        step.step(0)
-        record = kept_row(step)
+        record = step_row(step, 0)
         for i, (action, reward) in enumerate(zip(record.actions, record.rewards)):
             row = before[i].copy()
-            q_update(row, action, reward, sim.params)
+            q_update(row, action, reward, config.alpha, config.gamma)
             assert np.array_equal(step._qmat[i], row)
 
     def test_run_writes_rows_back(self):
@@ -245,8 +242,7 @@ class TestDensityStep:
         step = DensityStep(sim, list(sim.agents), sharing=False)
         noise = sim.noise_mw
         for it in range(20):
-            step.step(it)
-            rec = kept_row(step)
+            rec = step_row(step, it)
             powers_mw = np.array([dbm_to_mw(p) for p in sim.actions.levels_dbm[rec.actions]])
             c_mue = capacity_bps_hz(mue_sinr(sim.p_bs_mw, powers_mw, sim.gains, noise))
             assert rec.c_mue == pytest.approx(c_mue, rel=1e-12)
@@ -262,20 +258,44 @@ class TestDensityStep:
         assert len(step._groups) == (2 if sharing else 0)
         for it in range(30):
             before = step._qmat.copy()
-            step.step(it)
-            full = float(np.abs(step._qmat - before).max())
-            assert kept_row(step).max_q_delta == full
+            delta = step_row(step, it).max_q_delta
+            assert delta == float(np.abs(step._qmat - before).max())
 
-    def test_q_delta_nan_from_unchanged_infinite_entry(self):
-        # inf - inf at an entry no update touched makes the full-matrix delta NaN
+    def test_non_finite_row_rejected_at_construction(self):
         config = tiny_config(m_max=3, seed_agents=3, explore_fraction=0.0)
         sim = Simulation(config)
-        sim.q[0, -1] = -np.inf
+        sim.q[1, -1] = -np.inf
+        with pytest.raises(FloatingPointError, match=r"agent 1 .* m=3 after 0 iterations"):
+            DensityStep(sim, list(sim.agents), sharing=False)
+        DensityStep(sim, [sim.agents[0], sim.agents[2]], sharing=False)  # other rows are fine
+
+    def test_non_finite_entry_raises_on_its_iteration(self):
+        calls = iter(range(10))
+
+        def reward_fn(c_fue, *_):
+            return np.full_like(c_fue, np.inf if next(calls) == 4 else 1.0)
+
+        sim = Simulation(tiny_config(), reward_fn=reward_fn)
+        step = DensityStep(sim, [sim.agents[0]], sharing=False)
+        for it in range(4):
+            step.step(it)
+        with pytest.raises(FloatingPointError, match=r"agent 0 .* m=1 after 5 iterations"):
+            step.step(4)
+
+    def test_no_draws_from_the_exploration_horizon_on(self):
+        config = tiny_config(epsilon=1.0, explore_fraction=0.33, max_iterations=7)
+        sim = Simulation(config)
         step = DensityStep(sim, list(sim.agents), sharing=False)
-        for it in range(3):
-            with np.errstate(invalid="ignore"):
-                step.step(it)
-            assert np.isnan(kept_row(step).max_q_delta)
+        assert step._explore_until == 3  # ceil(0.33 * 7)
+
+        def states():
+            return [a.rng.bit_generator.state for a in sim.agents]
+
+        before = states()
+        step.step(3)
+        assert states() == before
+        step.step(2)
+        assert all(now != then for now, then in zip(states(), before))
 
     def test_default_reward_takes_the_config_exponent(self):
         sim = Simulation(tiny_config(mue_capacity_exponent=1))
@@ -283,14 +303,9 @@ class TestDensityStep:
         rewards = sim.reward_fn(np.array([2.0]), 3.0, one, one, 1.0)
         assert rewards.tolist() == [2.0 * 3.0 - 4.0 - 1.0]
 
-    def test_record_before_any_step_rejected(self):
-        sim = Simulation(tiny_config())
-        with pytest.raises(RuntimeError):
-            DensityStep(sim, [sim.agents[0]], sharing=False).keep()
-
     def test_non_finite_q_value_raises_after_density_step(self):
         sim = Simulation(tiny_config(), reward_fn=lambda c_fue, *_: np.full_like(c_fue, np.nan))
-        with pytest.raises(FloatingPointError, match=r"agent 0 .* m=1 after 300 iterations"):
+        with pytest.raises(FloatingPointError, match=r"agent 0 .* m=1 after 1 iterations"):
             sim.run()
 
     def test_sharing_groups_act_identically_when_greedy(self):
@@ -301,8 +316,7 @@ class TestDensityStep:
             pytest.skip("layout did not produce a shared state group")
         step = DensityStep(sim, same_state, sharing=True)
         step.step(0)
-        step.step(1)
-        second = kept_row(step)
+        second = step_row(step, 1)
         assert len(set(second.actions)) == 1
 
 
@@ -434,6 +448,19 @@ class TestSimulationProtocol:
         assert len(trace) == step.kept == len(kept) <= allocated
         assert allocated == -(-max_iterations // stride) + 1
         assert trace.actions.shape == trace.c_fue.shape == trace.rewards.shape == (len(kept), 1)
+
+    def test_run_keeps_the_rows_step_returns(self):
+        config = tiny_config(m_max=4, seed_agents=1, trace_stride=7, seed=3)
+        sim, twin = Simulation(config), Simulation(config)
+        summary, trace = DensityStep(sim, list(sim.agents), sharing=True).run()
+        step = DensityStep(twin, list(twin.agents), sharing=True)
+        rows = [step.step(it) for it in range(summary.iterations_to_converge)]
+        for k, it in enumerate(trace.iteration):
+            actions, c_mue, c_fue, rewards, delta = rows[it]
+            assert trace.actions[k].tolist() == actions.tolist()
+            assert (trace.c_mue[k], trace.max_q_delta[k]) == (c_mue, delta)
+            assert trace.c_fue[k].tolist() == c_fue.tolist()
+            assert trace.rewards[k].tolist() == rewards.tolist()
 
     def test_step_alone_keeps_nothing(self):
         config = tiny_config(max_iterations=20, trace_stride=1)

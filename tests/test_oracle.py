@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from femtoq.channel import GainMatrix, evaluate_capacities
-from femtoq.learning import make_action_set
+from femtoq.learning import ActionSet
 from femtoq.oracle import _CHUNK, EnumerationCapExceeded, _row_sums, exhaustive_search
 from femtoq.reward import QosThresholds
 from reference import batch_capacities, capacity_bps_hz, one_shot_oracle
@@ -25,7 +25,7 @@ class TestExhaustiveSearch:
         # power, so the top level wins (macro capacity is zero, hence the
         # unconstrained branch reports infeasible)
         gains = GainMatrix(np.full((2, 2), 0.5))
-        actions = make_action_set(-20.0, 25.0, 5)
+        actions = ActionSet(-20.0, 25.0, 5)
         thresholds = QosThresholds(mue=1e-9, fue=(1e-9,))
         result = exhaustive_search(
             gains, actions, thresholds, p_bs_mw=0.0, noise_mw=NOISE
@@ -39,7 +39,7 @@ class TestExhaustiveSearch:
         # at every level, so the constrained optimum is still the top level
         g = np.array([[0.5, 0.9], [1e-6, 0.5]])
         gains = GainMatrix(g)
-        actions = make_action_set(-20.0, 25.0, 5)
+        actions = ActionSet(-20.0, 25.0, 5)
         thresholds = QosThresholds(mue=0.5, fue=(0.5,))
         result = exhaustive_search(
             gains, actions, thresholds, p_bs_mw=100.0, noise_mw=NOISE
@@ -51,7 +51,7 @@ class TestExhaustiveSearch:
         # symmetric unit gains, two power levels: enumerate the four joint
         # actions by hand with the scalar formulas
         gains = GainMatrix(np.ones((3, 3)))
-        actions = make_action_set(0.0, 10.0, 2)  # 1 mW and 10 mW
+        actions = ActionSet(0.0, 10.0, 2)  # 1 mW and 10 mW
         thresholds = QosThresholds(mue=1e-9, fue=(1e-9, 1e-9))
         p_bs = 1.0
 
@@ -78,7 +78,7 @@ class TestExhaustiveSearch:
         # perfectly symmetric two-agent instance: (0, 1) and (1, 0) tie, the
         # lexicographically smaller vector must win
         gains = GainMatrix(np.ones((3, 3)))
-        actions = make_action_set(0.0, 10.0, 2)
+        actions = ActionSet(0.0, 10.0, 2)
         thresholds = QosThresholds(mue=1e-9, fue=(1e-9, 1e-9))
         result = exhaustive_search(gains, actions, thresholds, p_bs_mw=0.0, noise_mw=NOISE)
         candidates = {(0, 1), (1, 0), (1, 1), (0, 0)}
@@ -95,7 +95,7 @@ class TestExhaustiveSearch:
 
     def test_infeasible_returns_unconstrained_max(self):
         gains = random_gain_matrix(2, seed=0)
-        actions = make_action_set(-20.0, 25.0, 4)
+        actions = ActionSet(-20.0, 25.0, 4)
         impossible = QosThresholds(mue=1e6, fue=(1e6, 1e6))
         result = exhaustive_search(
             gains, actions, impossible, p_bs_mw=100.0, noise_mw=NOISE
@@ -111,7 +111,7 @@ class TestExhaustiveSearch:
     def test_feasible_flag_recomputation(self):
         for seed in range(5):
             gains = random_gain_matrix(2, seed=seed)
-            actions = make_action_set(-20.0, 25.0, 4)
+            actions = ActionSet(-20.0, 25.0, 4)
             thresholds = QosThresholds(mue=0.5, fue=(0.5, 0.5))
             result = exhaustive_search(
                 gains, actions, thresholds, p_bs_mw=10.0, noise_mw=NOISE
@@ -126,7 +126,7 @@ class TestExhaustiveSearch:
         rng = np.random.default_rng(42)
         m = 3
         gains = GainMatrix(rng.uniform(1e-5, 1.0, size=(m + 1, m + 1)))
-        actions = make_action_set(-20.0, 25.0, 3)
+        actions = ActionSet(-20.0, 25.0, 3)
         thresholds = QosThresholds(mue=1e-9, fue=tuple(rng.uniform(0.1, 0.3, m)))
         base = exhaustive_search(gains, actions, thresholds, p_bs_mw=5.0, noise_mw=NOISE)
 
@@ -149,7 +149,7 @@ class TestExhaustiveSearch:
     def test_oracle_dominates_random_joint_actions(self):
         rng = np.random.default_rng(1)
         gains = random_gain_matrix(3, seed=9)
-        actions = make_action_set(-20.0, 25.0, 5)
+        actions = ActionSet(-20.0, 25.0, 5)
         thresholds = QosThresholds(mue=1e-9, fue=(1e-9,) * 3)
         result = exhaustive_search(gains, actions, thresholds, p_bs_mw=2.0, noise_mw=NOISE)
         for _ in range(50):
@@ -160,14 +160,14 @@ class TestExhaustiveSearch:
 
     def test_enumeration_cap_enforced(self):
         gains = random_gain_matrix(15, seed=3)
-        actions = make_action_set(-20.0, 25.0, 31)
+        actions = ActionSet(-20.0, 25.0, 31)
         thresholds = QosThresholds(mue=1.0, fue=(1.0,) * 15)
         with pytest.raises(EnumerationCapExceeded, match="31\\^15"):
             exhaustive_search(gains, actions, thresholds, p_bs_mw=1.0, noise_mw=NOISE)
 
     def test_cap_counts_exactly(self):
         gains = random_gain_matrix(3, seed=4)
-        actions = make_action_set(-20.0, 25.0, 5)
+        actions = ActionSet(-20.0, 25.0, 5)
         thresholds = QosThresholds(mue=1e-9, fue=(1e-9,) * 3)
         result = exhaustive_search(
             gains, actions, thresholds, p_bs_mw=1.0, noise_mw=NOISE, enumeration_cap=125
@@ -180,7 +180,7 @@ class TestExhaustiveSearch:
 
     def test_threshold_count_must_match(self):
         gains = random_gain_matrix(3, seed=5)
-        actions = make_action_set(-20.0, 25.0, 3)
+        actions = ActionSet(-20.0, 25.0, 3)
         with pytest.raises(ValueError):
             exhaustive_search(
                 gains,
@@ -222,7 +222,7 @@ class TestBlockEnumeration:
     )
     def test_matches_one_shot_reference(self, m, n, level, seed):
         gains = random_gain_matrix(m, seed=seed)
-        actions = make_action_set(-20.0, 25.0, n)
+        actions = ActionSet(-20.0, 25.0, n)
         if level == "loose":
             thresholds = QosThresholds(mue=1e-9, fue=(1e-9,) * m)
         elif level == "impossible":
@@ -249,7 +249,7 @@ class TestBlockEnumeration:
         # 15^3 <= 2^15 < 15^4: one block per level of the first station
         assert 15**3 <= _CHUNK < 15**4
         gains = GainMatrix(np.ones((5, 5)))
-        actions = make_action_set(-20.0, 25.0, 15)
+        actions = ActionSet(-20.0, 25.0, 15)
         thresholds = QosThresholds(mue=mue, fue=(1e-9,) * 4)
 
         # unit symmetric gains: permutations of the optimum tie exactly,
@@ -268,7 +268,7 @@ class TestBlockEnumeration:
         # femto capacity rises with its own power, so the last level wins
         n = _CHUNK + 5
         gains = random_gain_matrix(1, seed=11)
-        actions = make_action_set(-20.0, 25.0, n)
+        actions = ActionSet(-20.0, 25.0, n)
         thresholds = QosThresholds(mue=1e-9, fue=(1e-9,))
         result = search_and_reference(gains, actions, thresholds, p_bs_mw=1.0)
         assert result.best_action == (n - 1,)
@@ -279,14 +279,14 @@ class TestBlockEnumeration:
         # 20^3 and 181^2 fit _CHUNK (one block, no prefix column); 182^2
         # does not (k=1, a block per level of the first station)
         gains = random_gain_matrix(m, seed=m * n)
-        actions = make_action_set(-20.0, 25.0, n)
+        actions = ActionSet(-20.0, 25.0, n)
         thresholds = QosThresholds(mue=0.5, fue=(0.5,) * m)
         search_and_reference(gains, actions, thresholds, p_bs_mw=10.0)
 
     def test_cap_raised_before_any_block(self):
         # a 31^3-row block over 15 stations would take 3.6 MB
         gains = random_gain_matrix(15, seed=3)
-        actions = make_action_set(-20.0, 25.0, 31)
+        actions = ActionSet(-20.0, 25.0, 31)
         thresholds = QosThresholds(mue=1.0, fue=(1.0,) * 15)
         tracemalloc.start()
         try:
