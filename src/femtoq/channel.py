@@ -55,10 +55,10 @@ class GainMatrix:
 def build_gain_matrix(
     topology: Topology,
     *,
-    pl0: float = 62.3,
-    exponent: float = 4.0,
-    d0: float = 5.0,
-    f_ghz: float = 2.4,
+    pl0: float,
+    exponent: float,
+    d0: float,
+    f_ghz: float,
 ) -> GainMatrix:
     """Compute the full gain matrix for a topology, one link at a time.
 

@@ -69,11 +69,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, text in (
-        ("run", "run the density-sweep learning experiment and write CSV artifacts"),
+        ("run", "run the density sweep and write its CSVs, replacing earlier density/oracle CSVs"),
         ("oracle", "exhaustively search the joint action space of the configured scenario"),
         ("validate-config", "load, validate, and echo the effective configuration"),
     ):
-        p = sub.add_parser(name, help=text)
+        p = sub.add_parser(name, help=text, description=text)
         p.add_argument("--config", type=Path, default=None, help="YAML scenario file")
         p.add_argument("--seed", type=int, default=None, help="override the master seed")
         p.add_argument("--out", type=Path, default=None, help="output directory")
@@ -150,9 +150,12 @@ def _write_density_csv(path: Path, density: DensityTrace, dbm_text: np.ndarray) 
 def write_run_artifacts(config: ScenarioConfig, trace: RunTrace, out_dir: Path) -> dict:
     """Write the summary, per-density traces, per-station plot data and manifest.
 
-    Each density CSV is formatted from its trace's columns a column at a time.
+    Earlier ``density_*.csv`` and ``oracle_result.csv`` files in ``out_dir`` are
+    deleted first. Each density CSV is formatted from its trace's columns a column at a time.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
+    for stale in (*out_dir.glob("density_*.csv"), out_dir / "oracle_result.csv"):
+        stale.unlink(missing_ok=True)
     dbm_text = np.array(_texts(trace.levels_dbm), dtype=object)
     save_config(config, out_dir / "effective_config.yaml")
 

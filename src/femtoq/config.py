@@ -1,11 +1,16 @@
-"""Scenario configuration: defaults, YAML loading, validation, hashing."""
+"""Scenario configuration: defaults, YAML loading, validation, hashing.
+
+Every value is normalised to its field's type, so equal configs hash equally.
+"""
 
 from __future__ import annotations
 
 import hashlib
 import json
 import math
+import operator
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from typing import Any, Callable
 
 import numpy as np
@@ -26,7 +31,12 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """All scenario parameters; defaults reproduce the reference dense-network setup."""
+    """All scenario parameters; defaults reproduce the reference dense-network setup.
+
+    Construction normalises each value to its field's type (an integer in a
+    float field becomes a float, a list a tuple), then checks the rules. A
+    value of another type, or one breaking a rule, is a ``ConfigError``.
+    """
 
     # action set
     p_min_dbm: float = -20.0
@@ -78,14 +88,15 @@ class ScenarioConfig:
     oracle_cap: int = 10_000_000
 
     def __post_init__(self):
-        self._validate()
-
-    def _validate(self) -> None:
-        """Check every field's type, then every rule: the one place config rules live."""
-        for name, key, is_valid, wanted in _TYPE_CHECKS:
+        """Normalise every field, then check every rule: the one place config rules live."""
+        for name, key, normalise, wanted in _NORMALISERS:
             value = getattr(self, name)
-            if not is_valid(value):
-                raise ConfigError(f"{key} {wanted}, got {value!r}")
+            try:
+                normal = normalise(value)
+            except (TypeError, OverflowError):
+                raise ConfigError(f"{key} {wanted}, got {value!r}") from None
+            if normal is not value:
+                object.__setattr__(self, name, normal)
         keys = _YAML_KEYS
         for name, low in (
             ("n_power", 2),
@@ -149,9 +160,9 @@ class ScenarioConfig:
 
     def fue_thresholds(self) -> tuple[float, ...]:
         """Per-station QoS thresholds, broadcasting a scalar config value."""
-        if isinstance(self.fue_min_capacity, (int, float)):
-            return (float(self.fue_min_capacity),) * self.m_max
-        return tuple(float(q) for q in self.fue_min_capacity)
+        if isinstance(self.fue_min_capacity, tuple):
+            return self.fue_min_capacity
+        return (self.fue_min_capacity,) * self.m_max
 
 
 # YAML section -> {yaml key: dataclass field}
@@ -202,56 +213,67 @@ _YAML_KEYS = {
     for section, entries in _SCHEMA.items()
     for key, field_name in entries.items()
 }
-_POSITION_LIST_FIELDS = {"fbs_positions", "fue_positions"}
-_FLOAT_FIELDS = {f.name for f in fields(ScenarioConfig) if isinstance(f.default, float)}
 
 
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _of_kind(kind: type, value: Any) -> Any:
+    """``value`` if it is a ``kind``; a bool is no integer."""
+    if not isinstance(value, kind) or isinstance(value, bool) is not (kind is bool):
+        raise TypeError
+    return value
 
 
-def _is_finite(value: Any) -> bool:
-    return isinstance(value, float) and math.isfinite(value) or _is_int(value)
+def _finite_float(value: Any) -> float:
+    """``value`` as a float; ``math.isfinite`` overflows on an integer past float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise TypeError
+    return value if type(value) is float else float(value)
 
 
-def _finite_tuple(value: Any, n: int | None = None) -> bool:
-    return (
-        isinstance(value, tuple)
-        and (n is None or len(value) == n)
-        and all(_is_finite(v) for v in value)
-    )
+def _tuple_of(item: Callable[[Any], Any], value: Any, length: int | None = None) -> tuple:
+    """``value`` as a tuple of ``item(v)``; ``value`` itself when that changes nothing."""
+    if not isinstance(value, (list, tuple)) or length is not None and len(value) != length:
+        raise TypeError
+    out = tuple(map(item, value))
+    return value if type(value) is tuple and all(map(operator.is_, out, value)) else out
 
 
-def _type_check(name: str, default: Any) -> tuple[Callable[[Any], bool], str]:
-    """The type test of a field, and what it asks for.
+_floats = partial(_tuple_of, _finite_float)
+_pair = partial(_tuple_of, _finite_float, length=2)
+
+
+def _normaliser(name: str, default: Any) -> tuple[Callable[[Any], Any], str]:
+    """The normaliser of a field, and what it asks for.
 
     A field takes the type of its default: a bool, an integer (not a bool),
-    a string, a finite number (an integer too) or a tuple of finite numbers.
-    ``fue_min_capacity`` also takes one number per station, and the
-    explicit layout lists are None or tuples of (x, y) pairs.
+    a string, a finite float (an integer becomes a float) or a tuple of
+    finite floats (a list becomes a tuple). The two positions are ``[x, y]``
+    pairs, the explicit layout lists None or lists of pairs, and
+    ``fue_min_capacity`` a number or a list. Other types raise ``TypeError``.
     """
     if isinstance(default, bool):
-        return (lambda v: isinstance(v, bool)), "must be true or false"
+        return partial(_of_kind, bool), "must be true or false"
     if isinstance(default, int):
-        return _is_int, "must be an integer"
+        return partial(_of_kind, int), "must be an integer"
     if isinstance(default, str):
-        return (lambda v: isinstance(v, str)), "must be a string"
+        return partial(_of_kind, str), "must be a string"
     if name in ("mbs_position", "mue_position"):
-        return (lambda v: _finite_tuple(v, 2)), "must be an [x, y] pair of finite numbers"
-    if name in _POSITION_LIST_FIELDS:
+        return _pair, "must be an [x, y] pair of finite numbers"
+    if name in ("fbs_positions", "fue_positions"):
         return (
-            lambda v: v is None or isinstance(v, tuple) and all(_finite_tuple(p, 2) for p in v)
+            lambda v: v if v is None else _tuple_of(_pair, v)
         ), "must be a list of [x, y] pairs of finite numbers"
     if name == "fue_min_capacity":
-        return (lambda v: _is_finite(v) or _finite_tuple(v)), "must be a finite number or list"
+        return (
+            lambda v: _floats(v) if isinstance(v, (list, tuple)) else _finite_float(v)
+        ), "must be a finite number or list"
     if isinstance(default, tuple):
-        return _finite_tuple, "must be a list of finite numbers"
-    return _is_finite, "must be a finite number"
+        return _floats, "must be a list of finite numbers"
+    return _finite_float, "must be a finite number"
 
 
-# (field, YAML key, type test, what it asks for) for every field
-_TYPE_CHECKS = tuple(
-    (f.name, _YAML_KEYS[f.name], *_type_check(f.name, f.default))
+# (field, YAML key, normaliser, what it asks for) for every field
+_NORMALISERS = tuple(
+    (f.name, _YAML_KEYS[f.name], *_normaliser(f.name, f.default))
     for f in fields(ScenarioConfig)
 )
 
@@ -274,31 +296,8 @@ def config_from_dict(data: dict[str, Any]) -> ScenarioConfig:
             field_name = _SCHEMA[section].get(key)
             if field_name is None:
                 raise ConfigError(f"unknown config key: {section}.{key}")
-            kwargs[field_name] = _coerce(field_name, value, f"{section}.{key}")
-    try:
-        return ScenarioConfig(**kwargs)
-    except TypeError as exc:  # pragma: no cover - schema guards against this
-        raise ConfigError(str(exc)) from exc
-
-
-def _coerce(field_name: str, value: Any, where: str) -> Any:
-    """YAML lists become tuples, ints in float fields floats; ``_validate`` checks the rest."""
-    if value is None:
-        if field_name in _POSITION_LIST_FIELDS:
-            return None
-        raise ConfigError(f"{where} must not be null")
-    try:
-        if isinstance(value, (list, tuple)):
-            return tuple(_coerce_entry(v) for v in value)
-        return _coerce_entry(value) if field_name in _FLOAT_FIELDS else value
-    except OverflowError:
-        raise ConfigError(f"{where} must be a finite number") from None
-
-
-def _coerce_entry(value: Any) -> Any:
-    if isinstance(value, (list, tuple)):
-        return tuple(_coerce_entry(v) for v in value)
-    return float(value) if _is_int(value) else value
+            kwargs[field_name] = value
+    return ScenarioConfig(**kwargs)
 
 
 def config_to_dict(config: ScenarioConfig) -> dict[str, Any]:

@@ -210,10 +210,11 @@ class DensityStep:
     for every non-trivial step: it measures the schedule, not how fast
     learning settled.
 
-    ``step`` writes no trace; it returns the iteration's ``actions, c_mue,
-    c_fue, rewards, delta``. ``run`` copies them into row ``kept`` of
-    ``trace``, a block allocated once for every row it can keep, and
-    returns the block trimmed to its ``kept`` rows.
+    ``step`` writes no trace and counts nothing; it returns the iteration's
+    ``actions, c_mue, c_fue, rewards, delta``. ``run`` counts consecutive
+    deltas below the tolerance, copies each kept iteration into the next
+    row of ``trace``, a block allocated once for every row it can keep, and
+    returns the block trimmed to the rows it filled.
     """
 
     def __init__(self, sim: "Simulation", agents: list[Agent], *, sharing: bool):
@@ -237,14 +238,10 @@ class DensityStep:
         self._explore_until = explore_until(
             params.epsilon, params.explore_fraction, params.max_iterations
         )
-        self._streak = 0
-        self.iterations_run = 0
-        self.converged = False
         n = -(-params.max_iterations // sim.config.trace_stride) + 1
         ints = (np.zeros(n, np.intp), np.zeros((n, m), np.intp))
         floats = (np.zeros(n), np.zeros((n, m)), np.zeros((n, m)), np.zeros(n))
         self.trace = DensityTrace(self._agent_ids, *ints, *floats)
-        self.kept = 0
 
     @property
     def m(self) -> int:
@@ -285,7 +282,6 @@ class DensityStep:
         delta = float(change.max())
         if not math.isfinite(delta):
             self._check_finite(iteration + 1)
-        self._streak = self._streak + 1 if delta < sim.config.convergence_tolerance else 0
         return actions, c_mue, c_fue, rewards, delta
 
     def run(self) -> tuple[DensitySummary, DensityTrace]:
@@ -296,21 +292,22 @@ class DensityStep:
         sim = self._sim
         stride = sim.config.trace_stride
         window = sim.config.convergence_window
+        tolerance = sim.config.convergence_tolerance
         last = sim.params.max_iterations - 1
-        step, t, k = self.step, self.trace, 0
+        step, t, k, streak = self.step, self.trace, 0, 0
         for iteration in range(last + 1):
             actions, c_mue, c_fue, rewards, delta = step(iteration)
-            converged = self._streak >= window
+            streak = streak + 1 if delta < tolerance else 0
+            converged = streak >= window
             if iteration % stride == 0 or converged or iteration == last:
                 t.iteration[k], t.actions[k], t.c_mue[k] = iteration, actions, c_mue
                 t.c_fue[k], t.rewards[k], t.max_q_delta[k] = c_fue, rewards, delta
                 k += 1
             if converged:
                 break
-        self.iterations_run, self.converged, self.kept = iteration + 1, converged, k
         sim.q[self._ids] = self._qmat
         self.trace = t.head(k)
-        return self._summary(), self.trace
+        return self._summary(iteration + 1, converged), self.trace
 
     def _check_finite(self, iterations: int) -> None:
         bad = ~np.isfinite(self._qmat).all(axis=1)
@@ -321,7 +318,7 @@ class DensityStep:
                 f"after {iterations} iterations"
             )
 
-    def _summary(self) -> DensitySummary:
+    def _summary(self, iterations: int, converged: bool) -> DensitySummary:
         sim = self._sim
         actions = self._qmat.argmax(axis=1)
         powers_mw = sim.actions.levels_mw[actions]
@@ -338,8 +335,8 @@ class DensityStep:
             min_fue_capacity=float(c_fue.min()),
             sum_capacity=float(c_fue.sum()),
             jain=jain_index(c_fue),
-            iterations_to_converge=self.iterations_run,
-            converged=self.converged,
+            iterations_to_converge=iterations,
+            converged=converged,
         )
 
 

@@ -60,7 +60,7 @@ def generate_layout(
     mue_pos: Position,
     seed,
     *,
-    min_fue_distance: float = 0.5,
+    min_fue_distance: float,
 ) -> Topology:
     """Place ``m`` femto stations on a square grid and drop one user near each.
 

@@ -105,7 +105,7 @@ class TestGainMatrix:
             fbs=(Position(5.0, 5.0),),
             fue=(Position(0.0, 5.0),),
         )
-        gm = build_gain_matrix(topo)
+        gm = build_gain_matrix(topo, **link_constants(ScenarioConfig()))
         assert mbs_to_mue(gm) == pytest.approx(10 ** (-6.23), rel=REL)
         assert fbs_to_fue(gm, 0, 0) == pytest.approx(10 ** (-6.23), rel=REL)
         assert mbs_to_fue(gm, 0) == pytest.approx(10 ** (-6.23), rel=REL)
@@ -117,7 +117,7 @@ class TestGainMatrix:
         fbs = tuple(Position(60 + 40 * i, 10 * rng.random()) for i in range(m))
         fue = tuple(Position(p.x + 4 + i, p.y + 3) for i, p in enumerate(fbs))
         topo = Topology(Position(-200, 0), Position(10, 5), fbs, fue)
-        gm = build_gain_matrix(topo)
+        gm = build_gain_matrix(topo, **link_constants(ScenarioConfig()))
         arr = gm.as_array()
         assert arr.shape == (m + 1, m + 1)
         assert np.all(arr > 0) and np.all(arr <= 1)

@@ -2,19 +2,22 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import femtoq
-from femtoq.cli import main, write_run_artifacts
+from femtoq.cli import main, run_experiment, write_run_artifacts
 from femtoq.config import (
     ConfigError,
     ScenarioConfig,
@@ -23,6 +26,7 @@ from femtoq.config import (
     config_hash,
     config_to_dict,
     load_config,
+    save_config,
     with_pinned_layout,
 )
 from femtoq.coordinator import DensityTrace, RunTrace, Simulation
@@ -57,6 +61,52 @@ SCENARIO_ERRORS = {
     "negative_pl0": ({"pathloss": {"pl0_db": -5.0}}, "pathloss.pl0_db"),
     "gain_past_float_range": ({"pathloss": {"pl0_db": -5000.0}}, "pathloss.pl0_db"),
 }
+
+
+FLOAT_FIELDS = [f.name for f in fields(ScenarioConfig) if isinstance(f.default, float)]
+
+
+def number(low, high):
+    """An int or a float in [low, high], as a Python caller may pass either."""
+    return st.one_of(st.integers(math.ceil(low), math.floor(high)), st.floats(low, high))
+
+
+def ascending(low, high):
+    return st.lists(number(low, high), min_size=1, max_size=4, unique=True).map(sorted)
+
+
+@st.composite
+def scenario_kwargs(draw):
+    """Valid ``ScenarioConfig`` keywords, with lists where the fields hold tuples."""
+    m = draw(st.integers(1, 5))
+    pair = st.lists(number(-500, 500), min_size=2, max_size=2)
+    kwargs = {
+        "m_max": m,
+        "seed_agents": draw(st.integers(1, 5)),
+        "n_power": draw(st.integers(2, 40)),
+        "p_min_dbm": draw(number(-40, 0)),
+        "p_max_dbm": draw(number(1, 40)),
+        "mbs_radii": draw(ascending(1, 1000)),
+        "mue_radii": draw(ascending(1, 1000)),
+        "d_th_m": draw(number(1, 100)),
+        "pl0_db": draw(number(-100, 100)),
+        "f_ghz": draw(number(0.5, 6)),
+        "noise_dbm": draw(number(-150, -50)),
+        "alpha": draw(number(0, 1)),
+        "gamma": draw(number(0, 1)),
+        "convergence_tolerance": draw(number(1e-9, 10)),
+        "fue_radius_m": draw(number(2, 50)),
+        "fue_min_distance_m": draw(number(0.01, 1.5)),
+        "mue_position": draw(pair),
+        "fue_min_capacity": draw(
+            st.one_of(number(0.1, 10), st.lists(number(0.1, 10), min_size=m, max_size=m))
+        ),
+        "seed": draw(st.integers(0, 2**32)),
+    }
+    if draw(st.booleans()):
+        kwargs["fbs_positions"] = draw(st.lists(pair, min_size=m, max_size=m))
+        kwargs["fue_positions"] = draw(st.lists(pair, min_size=m, max_size=m))
+    return kwargs
 
 
 def write_yaml(path, data):
@@ -152,6 +202,7 @@ class TestConfigValidation:
             ("qos", "mue_min_capacity", float("inf"), "qos.mue_min_capacity must be a finite"),
             ("layout", "mue_position", [1.0, 2.0, 3.0], "layout.mue_position must be an"),
             ("layout", "mbs_position", [1.0], "layout.mbs_position must be an"),
+            ("phases", "m_max", None, "phases.m_max must be an integer, got None"),
         ],
     )
     def test_invariant_violations_name_the_key(self, section, key, value, fragment):
@@ -220,6 +271,48 @@ class TestConfigRoundTrip:
             assert config_hash(as_int) == config_hash(as_float)
         assert config_hash(config_from_dict({"rings": {"d_th_m": 25}})) == DEFAULT_HASH
         assert config_from_dict({"reward": {"mue_capacity_exponent": 2}}).mue_capacity_exponent == 2
+
+    @pytest.mark.parametrize("name", FLOAT_FIELDS)
+    def test_python_integers_fill_float_fields(self, name):
+        value = math.ceil(getattr(ScenarioConfig(), name))
+        as_int = ScenarioConfig(**{name: value})
+        as_float = ScenarioConfig(**{name: float(value)})
+        assert type(getattr(as_int, name)) is float
+        assert as_int == as_float
+        assert config_hash(as_int) == config_hash(as_float)
+
+    def test_python_lists_become_tuples(self):
+        as_lists = ScenarioConfig(
+            mbs_radii=[50, 150.0, 400],
+            mue_position=[3.5, 3],
+            fue_min_capacity=[1, 2.0],
+            fbs_positions=[[0, 0], [35.0, 0]],
+            fue_positions=[[4, 0], [39.0, 1]],
+            m_max=2,
+        )
+        as_tuples = ScenarioConfig(
+            mbs_radii=(50.0, 150.0, 400.0),
+            mue_position=(3.5, 3.0),
+            fue_min_capacity=(1.0, 2.0),
+            fbs_positions=((0.0, 0.0), (35.0, 0.0)),
+            fue_positions=((4.0, 0.0), (39.0, 1.0)),
+            m_max=2,
+        )
+        assert as_lists == as_tuples
+        assert config_hash(as_lists) == config_hash(as_tuples)
+        assert isinstance(as_lists.fbs_positions, tuple)
+        assert all(isinstance(p, tuple) for p in as_lists.fbs_positions)
+        assert as_lists.fue_thresholds() == (1.0, 2.0)
+
+    @given(scenario_kwargs())
+    @settings(max_examples=60, deadline=None)
+    def test_python_config_survives_save_and_load(self, tmp_path_factory, kwargs):
+        config = ScenarioConfig(**kwargs)
+        path = tmp_path_factory.getbasetemp() / "round_trip.yaml"
+        save_config(config, path)
+        reloaded = load_config(path)
+        assert reloaded == config
+        assert config_hash(reloaded) == config_hash(config)
 
     def test_integer_beyond_float_range_is_a_config_error(self):
         for value in (10**400, [10**400]):
@@ -447,6 +540,39 @@ class TestCli:
         with open(out / "oracle_result.csv", newline="") as fh:
             row = next(csv.DictReader(fh))
         assert row["optimality_gap"] == ""
+
+    def test_oracle_matches_a_run_configured_in_python(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        config = ScenarioConfig(
+            m_max=3, seed_agents=2, n_power=5, max_iterations=200, d_th_m=25, output_dir=str(out)
+        )
+        run_experiment(config, quiet=True)
+        args = ["oracle", "--config", str(out / "effective_config.yaml"), "--out", str(out)]
+        assert main([*args, "--quiet"]) == 0
+        assert capsys.readouterr().err == ""
+        with open(out / "oracle_result.csv", newline="") as fh:
+            row = next(csv.DictReader(fh))
+        assert row["learned_sum"] != ""
+        assert row["optimality_gap"] != ""
+
+    def test_rerun_replaces_earlier_density_and_oracle_files(self, tmp_path):
+        config_path = write_yaml(tmp_path / "c.yaml", {**FAST_RUN, "actions": {"n_power": 4}})
+        out = tmp_path / "out"
+        common = ["--config", config_path, "--out", str(out), "--quiet"]
+        assert main(["run", *common, "--m-max", "4"]) == 0
+        assert main(["oracle", *common, "--m-max", "4"]) == 0
+        assert (out / "density_04.csv").exists() and (out / "oracle_result.csv").exists()
+        (out / "notes.txt").write_text("not an artifact", encoding="utf-8")
+        assert main(["run", *common, "--m-max", "2"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "density_01.csv",
+            "density_02.csv",
+            "effective_config.yaml",
+            "manifest.json",
+            "notes.txt",
+            "plot_fue_capacities.csv",
+            "summary.csv",
+        ]
 
     def test_unknown_reward_is_config_error(self, tmp_path, capsys):
         path = write_yaml(tmp_path / "c.yaml", {"reward": {"name": "mystery"}})

@@ -445,7 +445,7 @@ class TestSimulationProtocol:
         assert not summary.converged
         kept = sorted(set(range(0, max_iterations, stride)) | {max_iterations - 1})
         assert trace.iteration.tolist() == kept
-        assert len(trace) == step.kept == len(kept) <= allocated
+        assert len(trace) == len(kept) <= allocated
         assert allocated == -(-max_iterations // stride) + 1
         assert trace.actions.shape == trace.c_fue.shape == trace.rewards.shape == (len(kept), 1)
 
@@ -468,7 +468,6 @@ class TestSimulationProtocol:
         step = DensityStep(sim, list(sim.agents), sharing=True)
         for iteration in range(3 * config.max_iterations):
             step.step(iteration)
-        assert step.kept == 0
         assert not step.trace.iteration.any() and not step.trace.rewards.any()
 
 

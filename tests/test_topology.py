@@ -91,12 +91,16 @@ class TestProximityRatio:
 
 class TestGenerateLayout:
     def test_single_station_at_grid_origin(self):
-        topo = generate_layout(1, 35.0, 10.0, Position(-150, 0), Position(3.5, 3.5), seed=0)
+        topo = generate_layout(
+            1, 35.0, 10.0, Position(-150, 0), Position(3.5, 3.5), seed=0, min_fue_distance=0.5
+        )
         assert topo.fbs == (Position(0.0, 0.0),)
         assert distance(topo.fbs[0], topo.fue[0]) <= 10.0
 
     def test_grid_spacing(self):
-        topo = generate_layout(4, 35.0, 10.0, Position(-150, 0), Position(3.5, 3.5), seed=1)
+        topo = generate_layout(
+            4, 35.0, 10.0, Position(-150, 0), Position(3.5, 3.5), seed=1, min_fue_distance=0.5
+        )
         dists = [
             distance(a, b)
             for i, a in enumerate(topo.fbs)
@@ -107,19 +111,23 @@ class TestGenerateLayout:
     def test_deterministic_for_fixed_seed(self):
         kwargs = dict(
             m=6, spacing=35.0, fue_radius=10.0,
-            mbs_pos=Position(-150, 0), mue_pos=Position(3.5, 3.5),
+            mbs_pos=Position(-150, 0), mue_pos=Position(3.5, 3.5), min_fue_distance=0.5,
         )
         assert generate_layout(seed=42, **kwargs) == generate_layout(seed=42, **kwargs)
         assert generate_layout(seed=42, **kwargs) != generate_layout(seed=43, **kwargs)
 
     @pytest.mark.parametrize("m", [1, 2, 5, 15])
     def test_users_within_radius(self, m):
-        topo = generate_layout(m, 35.0, 10.0, Position(-150, 0), Position(3.5, 3.5), seed=m)
+        topo = generate_layout(
+            m, 35.0, 10.0, Position(-150, 0), Position(3.5, 3.5), seed=m, min_fue_distance=0.5
+        )
         for station, user in zip(topo.fbs, topo.fue):
             assert 0.5 <= distance(station, user) <= 10.0
 
     def test_grid_centered_near_macro_user(self):
-        topo = generate_layout(15, 35.0, 10.0, Position(-150, 0), Position(3.5, 3.5), seed=9)
+        topo = generate_layout(
+            15, 35.0, 10.0, Position(-150, 0), Position(3.5, 3.5), seed=9, min_fue_distance=0.5
+        )
         cx = sum(p.x for p in topo.fbs) / 15
         cy = sum(p.y for p in topo.fbs) / 15
         assert math.hypot(cx - topo.mue.x, cy - topo.mue.y) < 35.0
@@ -127,7 +135,9 @@ class TestGenerateLayout:
     @given(st.integers(min_value=1, max_value=15), st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=30)
     def test_layout_always_valid(self, m, seed):
-        topo = generate_layout(m, 35.0, 10.0, Position(-150, 0), Position(3.5, 3.5), seed=seed)
+        topo = generate_layout(
+            m, 35.0, 10.0, Position(-150, 0), Position(3.5, 3.5), seed=seed, min_fue_distance=0.5
+        )
         assert topo.m == m  # Topology validation ran in the constructor
 
     def test_state_constant_for_fixed_layout(self):
