@@ -1,7 +1,7 @@
 """Command-line interface: run experiments, invoke the oracle, validate configs.
 
-Exit codes: 0 success, 1 configuration error, 2 runtime error, 3 oracle
-enumeration cap exceeded.
+Exit codes: 0 success, 1 bad input (configuration or command line), 2
+runtime error, 3 oracle enumeration cap exceeded.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ import argparse
 import csv
 import json
 import platform
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -48,6 +49,7 @@ DENSITY_COLUMNS = (
     "max_q_delta",
 )
 _WRITE_BLOCK = 512  # kept iterations formatted and written at once
+_STALE = re.compile(r"density_[0-9]{2,}\.csv|oracle_result\.csv")  # what a run replaces
 ORACLE_COLUMNS = (
     "m",
     "n_power",
@@ -62,8 +64,14 @@ ORACLE_COLUMNS = (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a malformed command line is bad input: exit 1, not 2
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="femtoq",
         description="Cooperative Q-learning power allocation simulator for dense femtocell networks",
     )
@@ -150,12 +158,13 @@ def _write_density_csv(path: Path, density: DensityTrace, dbm_text: np.ndarray) 
 def write_run_artifacts(config: ScenarioConfig, trace: RunTrace, out_dir: Path) -> dict:
     """Write the summary, per-density traces, per-station plot data and manifest.
 
-    Earlier ``density_*.csv`` and ``oracle_result.csv`` files in ``out_dir`` are
-    deleted first. Each density CSV is formatted from its trace's columns a column at a time.
+    Earlier ``density_<digits>.csv`` and ``oracle_result.csv`` files in ``out_dir`` are
+    deleted first, and no other file. Each density CSV is formatted a column at a time.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
-    for stale in (*out_dir.glob("density_*.csv"), out_dir / "oracle_result.csv"):
-        stale.unlink(missing_ok=True)
+    for stale in out_dir.glob("*.csv"):
+        if _STALE.fullmatch(stale.name):
+            stale.unlink()
     dbm_text = np.array(_texts(trace.levels_dbm), dtype=object)
     save_config(config, out_dir / "effective_config.yaml")
 

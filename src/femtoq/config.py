@@ -165,47 +165,34 @@ class ScenarioConfig:
         return (self.fue_min_capacity,) * self.m_max
 
 
-# YAML section -> {yaml key: dataclass field}
+# YAML section -> its keys
+_SECTIONS = {
+    "actions": ("p_min_dbm", "p_max_dbm", "n_power"),
+    "rings": ("mbs_radii", "mue_radii", "d_th_m"),
+    "pathloss": ("pl0_db", "exponent", "d0_m", "f_ghz"),
+    "radio": ("p_bs_dbm", "noise_dbm"),
+    "qos": ("mue_min_capacity", "fue_min_capacity"),
+    "learning": ("alpha", "gamma", "epsilon", "explore_fraction", "max_iterations"),
+    "reward": ("name", "mue_capacity_exponent"),
+    "phases": ("seed_agents", "m_max", "sharing_enabled"),
+    "convergence": ("window", "tolerance"),
+    "layout": (
+        "fbs_spacing_m",
+        "fue_radius_m",
+        "fue_min_distance_m",
+        "mbs_position",
+        "mue_position",
+        "fbs_positions",
+        "fue_positions",
+    ),
+    "run": ("seed", "trace_stride", "output_dir", "oracle_cap"),
+}
+_FIELD_NAMES = {f.name for f in fields(ScenarioConfig)}
+# YAML section -> {yaml key: dataclass field}: the field of the key's name, or
+# else of "<section>_<key>" (pathloss.exponent is pathloss_exponent)
 _SCHEMA: dict[str, dict[str, str]] = {
-    "actions": {"p_min_dbm": "p_min_dbm", "p_max_dbm": "p_max_dbm", "n_power": "n_power"},
-    "rings": {"mbs_radii": "mbs_radii", "mue_radii": "mue_radii", "d_th_m": "d_th_m"},
-    "pathloss": {
-        "pl0_db": "pl0_db",
-        "exponent": "pathloss_exponent",
-        "d0_m": "d0_m",
-        "f_ghz": "f_ghz",
-    },
-    "radio": {"p_bs_dbm": "p_bs_dbm", "noise_dbm": "noise_dbm"},
-    "qos": {"mue_min_capacity": "mue_min_capacity", "fue_min_capacity": "fue_min_capacity"},
-    "learning": {
-        "alpha": "alpha",
-        "gamma": "gamma",
-        "epsilon": "epsilon",
-        "explore_fraction": "explore_fraction",
-        "max_iterations": "max_iterations",
-    },
-    "reward": {"name": "reward_name", "mue_capacity_exponent": "mue_capacity_exponent"},
-    "phases": {
-        "seed_agents": "seed_agents",
-        "m_max": "m_max",
-        "sharing_enabled": "sharing_enabled",
-    },
-    "convergence": {"window": "convergence_window", "tolerance": "convergence_tolerance"},
-    "layout": {
-        "fbs_spacing_m": "fbs_spacing_m",
-        "fue_radius_m": "fue_radius_m",
-        "fue_min_distance_m": "fue_min_distance_m",
-        "mbs_position": "mbs_position",
-        "mue_position": "mue_position",
-        "fbs_positions": "fbs_positions",
-        "fue_positions": "fue_positions",
-    },
-    "run": {
-        "seed": "seed",
-        "trace_stride": "trace_stride",
-        "output_dir": "output_dir",
-        "oracle_cap": "oracle_cap",
-    },
+    section: {key: key if key in _FIELD_NAMES else f"{section}_{key}" for key in keys}
+    for section, keys in _SECTIONS.items()
 }
 
 _YAML_KEYS = {

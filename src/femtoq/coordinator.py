@@ -58,9 +58,7 @@ class DensitySummary:
     """Greedy-policy outcome of one density step after its learning run."""
 
     m: int
-    phase: str
     agent_ids: tuple[int, ...]
-    actions: tuple[int, ...]
     powers_dbm: tuple[float, ...]
     c_mue_final: float
     fue_capacities: tuple[float, ...]
@@ -323,12 +321,9 @@ class DensityStep:
         actions = self._qmat.argmax(axis=1)
         powers_mw = sim.actions.levels_mw[actions]
         c_mue, c_fue = self._capacities(powers_mw)
-        phase = "cooperative" if self.m > sim.config.seed_agents else "individual"
         return DensitySummary(
             m=self.m,
-            phase=phase,
             agent_ids=self._agent_ids,
-            actions=tuple(int(a) for a in actions),
             powers_dbm=tuple(float(sim.actions.levels_dbm[a]) for a in actions),
             c_mue_final=c_mue,
             fue_capacities=tuple(float(c) for c in c_fue),

@@ -574,6 +574,44 @@ class TestCli:
             "summary.csv",
         ]
 
+    def test_run_deletes_only_the_files_it_writes(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        kept = ("density_notes.csv", "density_plan.csv", "density_.csv", "density_01.csv.bak")
+        for name in (*kept, "density_100.csv", "density_07.csv"):
+            (out / name).write_text("x", encoding="utf-8")
+        config_path = write_yaml(tmp_path / "c.yaml", FAST_RUN)
+        assert main(["run", "--config", config_path, "--out", str(out), "--quiet"]) == 0
+        names = {p.name for p in out.iterdir()}
+        assert set(kept) <= names
+        assert not names & {"density_100.csv", "density_07.csv"}
+
+    @pytest.mark.parametrize(
+        "argv, code, text",
+        [
+            (["run", "--m-max", "1.5"], 1, "invalid int value: '1.5'"),
+            (["oracle", "--seed", "x"], 1, "invalid int value: 'x'"),
+            (["run", "--bogus"], 1, "unrecognized arguments: --bogus"),
+            (["run", "--m-max", "0"], 1, "config error: phases.m_max"),
+            (["--help"], 0, ""),
+        ],
+        ids=["float-m-max", "text-seed", "unknown-option", "zero-m-max", "help"],
+    )
+    def test_command_line_exit_codes(self, tmp_path, monkeypatch, capsys, argv, code, text):
+        monkeypatch.chdir(tmp_path)  # a stray write would land here, not in the checkout
+        try:
+            result = main(argv)
+        except SystemExit as exc:  # argparse exits itself
+            result = exc.code
+        captured = capsys.readouterr()
+        assert result == code
+        assert text in captured.err
+        if code == 0:
+            assert captured.out.startswith("usage: femtoq") and captured.err == ""
+        elif "config error" not in text:
+            assert captured.err.startswith("usage: femtoq")
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_reward_is_config_error(self, tmp_path, capsys):
         path = write_yaml(tmp_path / "c.yaml", {"reward": {"name": "mystery"}})
         assert main(["run", "--config", path]) == 1
