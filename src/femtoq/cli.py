@@ -12,7 +12,6 @@ import json
 import platform
 import re
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,9 +21,10 @@ from . import __version__
 from .config import (
     ConfigError,
     ScenarioConfig,
+    config_from_dict,
     config_hash,
     config_to_dict,
-    load_config,
+    load_yaml,
     save_config,
 )
 from .coordinator import DensityTrace, RunTrace, Simulation
@@ -91,17 +91,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _effective_config(args) -> ScenarioConfig:
-    config = load_config(args.config) if args.config else ScenarioConfig()
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.m_max is not None:
-        overrides["m_max"] = args.m_max
-    if args.out is not None:
-        overrides["output_dir"] = str(args.out)
-    if overrides:
-        config = replace(config, **overrides)
-    return config
+    """The YAML with the command line's values written into it, validated once."""
+    data = load_yaml(args.config) if args.config else None
+    data = {} if data is None else data
+    for section, key, value in (
+        ("run", "seed", args.seed),
+        ("phases", "m_max", args.m_max),
+        ("run", "output_dir", None if args.out is None else str(args.out)),
+    ):
+        # a root or section that is no mapping is left for config_from_dict to reject
+        if value is not None and isinstance(data, dict):
+            if data.get(section) is None:
+                data[section] = {}
+            if isinstance(data[section], dict):
+                data[section][key] = value
+    return config_from_dict(data)
 
 
 def _write_csv(path: Path, columns, rows) -> None:
@@ -214,6 +218,32 @@ def run_experiment(config: ScenarioConfig, *, quiet: bool = False) -> Path:
     return out_dir
 
 
+def _learned_sum(config: ScenarioConfig, out_dir: Path) -> float | None:
+    """The sum capacity at ``m_max`` of the run in ``out_dir``, if it has this config.
+
+    A manifest of another config, or a file that cannot be read, is one line on stderr.
+    """
+    path, summary_path = out_dir / "manifest.json", out_dir / "summary.csv"
+    if not (path.exists() and summary_path.exists()):
+        return None
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(manifest, dict):
+            raise ValueError(f"a JSON {type(manifest).__name__}, not an object")
+        run_hash = manifest.get("config_hash")
+        if run_hash != config_hash(config):
+            problem = f"{path} is from another configuration (config_hash {run_hash})"
+        else:
+            path = summary_path
+            with open(path, newline="", encoding="utf-8") as fh:
+                rows = [r for r in csv.DictReader(fh, restval="") if int(r["m"]) == config.m_max]
+            return float(rows[-1]["sum_capacity"]) if rows else None
+    except (OSError, ValueError, KeyError) as exc:
+        problem = f"cannot read {path} ({exc!r})"
+    print(f"oracle: {problem}; learned_sum and optimality_gap left blank", file=sys.stderr)
+    return None
+
+
 def run_oracle(config: ScenarioConfig, *, quiet: bool = False) -> Path:
     out_dir = Path(config.output_dir)
     sim = Simulation(config)  # the scenario, built as a run builds it
@@ -226,27 +256,11 @@ def run_oracle(config: ScenarioConfig, *, quiet: bool = False) -> Path:
         enumeration_cap=config.oracle_cap,
     )
 
-    learned_sum = ""
-    gap = ""
-    summary_path = out_dir / "summary.csv"
-    manifest_path = out_dir / "manifest.json"
-    if summary_path.exists() and manifest_path.exists():
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        if manifest.get("config_hash") == config_hash(config):
-            with open(summary_path, newline="", encoding="utf-8") as fh:
-                for row in csv.DictReader(fh):
-                    if int(row["m"]) == config.m_max:
-                        learned = float(row["sum_capacity"])
-                        learned_sum = repr(learned)
-                        gap = repr((result.best_objective - learned) / result.best_objective)
-        else:
-            print(
-                f"oracle: {manifest_path} is from another configuration "
-                f"(config_hash {manifest.get('config_hash')}); "
-                "learned_sum and optimality_gap left blank",
-                file=sys.stderr,
-            )
+    learned_sum = gap = ""
+    learned = _learned_sum(config, out_dir)
+    if learned is not None:
+        learned_sum = repr(learned)
+        gap = repr((result.best_objective - learned) / result.best_objective)
 
     # made only now, so a refused search leaves no directory behind
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -16,6 +16,7 @@ from typing import Any, Callable
 import numpy as np
 import yaml
 
+from .channel import dbm_to_mw
 from .reward import REWARDS
 from .topology import Position, Topology, generate_layout
 
@@ -126,6 +127,14 @@ class ScenarioConfig:
         for name in ("alpha", "gamma", "epsilon", "explore_fraction"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigError(f"{keys[name]} must be in [0, 1], got {getattr(self, name)}")
+        for name in ("p_min_dbm", "p_max_dbm", "p_bs_dbm", "noise_dbm"):
+            # the power levels lie between the two ends of the action range
+            try:
+                mw = dbm_to_mw(getattr(self, name))
+            except OverflowError:
+                mw = math.inf
+            if not 0.0 < mw < math.inf:
+                raise ConfigError(f"{keys[name]} must be a positive, finite power in mW")
         if not self.p_min_dbm < self.p_max_dbm:
             raise ConfigError("actions.p_min_dbm must be below actions.p_max_dbm")
         for name, radii in (("mbs_radii", self.mbs_radii), ("mue_radii", self.mue_radii)):
@@ -302,17 +311,15 @@ def config_to_dict(config: ScenarioConfig) -> dict[str, Any]:
     return out
 
 
-def load_config(path) -> ScenarioConfig:
-    """Load and validate a YAML scenario file; an empty file yields pure defaults."""
+def load_yaml(path) -> Any:
+    """The parsed YAML of a scenario file, for ``config_from_dict``; an empty file is None."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+            return yaml.safe_load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"malformed YAML in {path}: {exc}") from exc
-    return config_from_dict(data)
-
 
 def save_config(config: ScenarioConfig, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:

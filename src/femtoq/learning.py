@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import dbm_to_mw
+
 
 @dataclass(frozen=True)
 class LearningParams:
@@ -31,7 +33,7 @@ class ActionSet:
         levels = np.linspace(p_min_dbm, p_max_dbm, n)
         levels.setflags(write=False)
         self.levels_dbm = levels
-        mw = 10.0 ** (levels / 10.0)
+        mw = dbm_to_mw(levels)
         mw.setflags(write=False)
         self.levels_mw = mw
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import GainMatrix, Links
+from .channel import Links
 from .learning import ActionSet
 from .reward import QosThresholds
 
@@ -55,7 +55,7 @@ class OracleResult:
 
 
 def exhaustive_search(
-    gains: GainMatrix,
+    gains: np.ndarray,
     actions: ActionSet,
     thresholds: QosThresholds,
     *,
@@ -73,7 +73,7 @@ def exhaustive_search(
     is strictly better. Raises :class:`EnumerationCapExceeded` when
     ``n_power ** M`` exceeds the cap, before anything is allocated.
     """
-    m = gains.m
+    m = len(gains) - 1
     n = len(actions)
     if len(thresholds.fue) != m:
         raise ValueError(f"expected {m} femto thresholds, got {len(thresholds.fue)}")

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from femtoq.channel import GainMatrix, _check_powers, evaluate_capacities
+from femtoq.channel import _check_powers, evaluate_capacities
 from femtoq.cli import DENSITY_COLUMNS
 from femtoq.coordinator import DensityTrace
 from femtoq.learning import ActionSet
@@ -91,7 +91,7 @@ def link_gain(
     d0: float = 5.0,
     f_ghz: float = 2.4,
 ) -> float:
-    """Gain from transmitter ``t`` to receiver ``r``, numbered as in ``GainMatrix``.
+    """Gain from transmitter ``t`` to receiver ``r``, numbered as in ``build_gain_matrix``.
 
     Transmitter 0 is the macro station and 1 + j femto station j; receiver
     0 is the macro user and 1 + i femto user i. The macro station's links
@@ -116,50 +116,50 @@ def gain_array(topology: Topology, **constants) -> np.ndarray:
 # -- per-link gains ------------------------------------------------------
 
 
-def _check_index(gains: GainMatrix, i: int) -> None:
-    if not 0 <= i < gains.m:
-        raise IndexError(f"femto index {i} out of range for M={gains.m}")
+def _check_index(gains: np.ndarray, i: int) -> None:
+    if not 0 <= i < len(gains) - 1:
+        raise IndexError(f"femto index {i} out of range for M={len(gains) - 1}")
 
 
-def mbs_to_mue(gains: GainMatrix) -> float:
-    return float(gains.as_array()[0, 0])
+def mbs_to_mue(gains: np.ndarray) -> float:
+    return float(gains[0, 0])
 
 
-def fbs_to_mue(gains: GainMatrix, i: int) -> float:
+def fbs_to_mue(gains: np.ndarray, i: int) -> float:
     _check_index(gains, i)
-    return float(gains.as_array()[1 + i, 0])
+    return float(gains[1 + i, 0])
 
 
-def mbs_to_fue(gains: GainMatrix, i: int) -> float:
+def mbs_to_fue(gains: np.ndarray, i: int) -> float:
     _check_index(gains, i)
-    return float(gains.as_array()[0, 1 + i])
+    return float(gains[0, 1 + i])
 
 
-def fbs_to_fue(gains: GainMatrix, j: int, i: int) -> float:
+def fbs_to_fue(gains: np.ndarray, j: int, i: int) -> float:
     """Gain from femto station ``j`` to the user served by station ``i``."""
     _check_index(gains, j)
     _check_index(gains, i)
-    return float(gains.as_array()[1 + j, 1 + i])
+    return float(gains[1 + j, 1 + i])
 
 
 # -- SINR and capacity ---------------------------------------------------
 
 
-def mue_sinr(p_bs_mw: float, fbs_powers_mw, gains: GainMatrix, noise_mw: float) -> float:
+def mue_sinr(p_bs_mw: float, fbs_powers_mw, gains: np.ndarray, noise_mw: float) -> float:
     """SINR at the macro user under the given joint transmit powers."""
     powers = np.asarray(fbs_powers_mw, dtype=float)
     _check_powers(p_bs_mw, powers, gains, noise_mw)
-    interference = sum(powers[j] * fbs_to_mue(gains, j) for j in range(gains.m))
+    interference = sum(powers[j] * fbs_to_mue(gains, j) for j in range(len(gains) - 1))
     return p_bs_mw * mbs_to_mue(gains) / (interference + noise_mw)
 
 
-def fue_sinr(i: int, p_bs_mw: float, fbs_powers_mw, gains: GainMatrix, noise_mw: float) -> float:
+def fue_sinr(i: int, p_bs_mw: float, fbs_powers_mw, gains: np.ndarray, noise_mw: float) -> float:
     """SINR at femto user ``i`` under the given joint transmit powers."""
     powers = np.asarray(fbs_powers_mw, dtype=float)
     _check_powers(p_bs_mw, powers, gains, noise_mw)
     _check_index(gains, i)
     signal = powers[i] * fbs_to_fue(gains, i, i)
-    cross = sum(powers[j] * fbs_to_fue(gains, j, i) for j in range(gains.m) if j != i)
+    cross = sum(powers[j] * fbs_to_fue(gains, j, i) for j in range(len(gains) - 1) if j != i)
     return signal / (p_bs_mw * mbs_to_fue(gains, i) + cross + noise_mw)
 
 
@@ -246,8 +246,32 @@ def proposed_reward(
 # -- capacity batches ----------------------------------------------------
 
 
+def one_action_capacities(
+    gains: np.ndarray, p_bs_mw: float, noise_mw: float, powers_mw: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Capacities of one ``(m,)`` joint action of every station, step by step.
+
+    The arithmetic of ``channel.Links`` on one action, frozen, with the
+    gains held as views into the gain matrix as ``Links`` holds them for
+    the full set: the macro user as one dot product and ``math.log1p``,
+    the femto users as one ``powers_mw @ g_cross``.
+    """
+    g_fbs_mue, g_cross = gains[1:, 0], gains[1:, 1:]
+    sinr_mue = p_bs_mw * gains[0, 0] / (powers_mw @ g_fbs_mue + noise_mw)
+    c_mue = math.log1p(sinr_mue) / _LN2
+    signal = powers_mw * np.diag(g_cross)
+    c_fue = powers_mw @ g_cross
+    c_fue -= signal
+    c_fue += p_bs_mw * gains[0, 1:]
+    c_fue += noise_mw
+    np.divide(signal, c_fue, out=c_fue)
+    np.log1p(c_fue, out=c_fue)
+    c_fue /= _LN2
+    return c_mue, c_fue
+
+
 def batch_capacities(
-    gains: GainMatrix, p_bs_mw: float, noise_mw: float, powers_mw: np.ndarray, ids=None
+    gains: np.ndarray, p_bs_mw: float, noise_mw: float, powers_mw: np.ndarray, ids=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Capacities of a ``(k, m)`` batch of joint actions, one row per action.
 
@@ -257,15 +281,15 @@ def batch_capacities(
     copies for the subset ``ids``, the macro user as one matrix-vector
     product, the femto users as one ``powers_mw @ g_cross``.
     """
-    g = gains.as_array()
     if ids is None:
-        g_fbs_mue, g_cross, mbs_fue = g[1:, 0], g[1:, 1:], p_bs_mw * g[0, 1:]
+        g_fbs_mue, g_cross, mbs_fue = gains[1:, 0], gains[1:, 1:], p_bs_mw * gains[0, 1:]
     else:
         idx = 1 + np.asarray(ids, dtype=np.intp)
-        g_fbs_mue, g_cross, mbs_fue = g[idx, 0], g[np.ix_(idx, idx)], p_bs_mw * g[0, idx]
+        g_fbs_mue, g_cross = gains[idx, 0], gains[np.ix_(idx, idx)]
+        mbs_fue = p_bs_mw * gains[0, idx]
     c_mue = powers_mw @ g_fbs_mue
     c_mue += noise_mw
-    np.divide(p_bs_mw * g[0, 0], c_mue, out=c_mue)
+    np.divide(p_bs_mw * gains[0, 0], c_mue, out=c_mue)
     np.log1p(c_mue, out=c_mue)
     c_mue /= _LN2
     signal = powers_mw * np.diag(g_cross)
@@ -283,7 +307,7 @@ def batch_capacities(
 
 
 def one_shot_oracle(
-    gains: GainMatrix,
+    gains: np.ndarray,
     actions: ActionSet,
     thresholds: QosThresholds,
     *,
@@ -298,7 +322,7 @@ def one_shot_oracle(
     there are any and over all rows otherwise. The winner's capacities come
     from the one-action path, as the search reports them.
     """
-    m, n = gains.m, len(actions)
+    m, n = len(gains) - 1, len(actions)
     digits = np.indices((n,) * m).reshape(m, -1).T
     c_mue, c_fue = batch_capacities(gains, p_bs_mw, noise_mw, actions.levels_mw[digits])
     sums = c_fue.sum(axis=1)

@@ -25,7 +25,7 @@ from femtoq.config import (
     config_from_dict,
     config_hash,
     config_to_dict,
-    load_config,
+    load_yaml,
     save_config,
     with_pinned_layout,
 )
@@ -62,6 +62,14 @@ SCENARIO_ERRORS = {
     "gain_past_float_range": ({"pathloss": {"pl0_db": -5000.0}}, "pathloss.pl0_db"),
 }
 
+
+# the dBm fields, as (YAML section, key)
+DBM_KEYS = [
+    ("actions", "p_min_dbm"),
+    ("actions", "p_max_dbm"),
+    ("radio", "p_bs_dbm"),
+    ("radio", "noise_dbm"),
+]
 
 FLOAT_FIELDS = [f.name for f in fields(ScenarioConfig) if isinstance(f.default, float)]
 
@@ -118,7 +126,7 @@ class TestConfigDefaults:
     def test_empty_file_gives_reference_defaults(self, tmp_path):
         path = tmp_path / "empty.yaml"
         path.write_text("", encoding="utf-8")
-        config = load_config(path)
+        config = config_from_dict(load_yaml(path))
         assert config.p_min_dbm == -20.0
         assert config.p_max_dbm == 25.0
         assert config.n_power == 31
@@ -209,6 +217,24 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=fragment):
             config_from_dict({section: {key: value}})
 
+    @pytest.mark.parametrize("section,key", DBM_KEYS)
+    @pytest.mark.parametrize("dbm", [4000.0, 3082.6, -3237.0, -4000.0])
+    def test_dbm_without_a_finite_positive_mw_power_names_the_key(self, section, key, dbm):
+        # 10 ** (dBm / 10) overflows above about 3082.55 dBm and is 0 below -3236.07
+        fragment = f"{section}.{key} must be a positive, finite power in mW"
+        with pytest.raises(ConfigError, match=fragment):
+            config_from_dict({section: {key: dbm}})
+
+    @pytest.mark.parametrize("section,key", DBM_KEYS)
+    @pytest.mark.parametrize("dbm", [3082.5, -3236.0])
+    def test_dbm_with_a_finite_positive_mw_power_accepted(self, section, key, dbm):
+        data = {section: {key: dbm}}
+        if key == "p_min_dbm":
+            data[section]["p_max_dbm"] = dbm + 0.01
+        if key == "p_max_dbm":
+            data[section]["p_min_dbm"] = dbm - 0.01
+        assert getattr(config_from_dict(data), key) == dbm
+
     def test_yaml_integers_fill_float_fields(self):
         config = config_from_dict({"learning": {"alpha": 1}, "rings": {"mue_radii": [15, 50]}})
         assert config.alpha == 1
@@ -235,11 +261,11 @@ class TestConfigValidation:
         path = tmp_path / "bad.yaml"
         path.write_text("rings: [unclosed", encoding="utf-8")
         with pytest.raises(ConfigError, match="malformed YAML"):
-            load_config(path)
+            load_yaml(path)
 
     def test_missing_file_reported(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
-            load_config(tmp_path / "missing.yaml")
+            load_yaml(tmp_path / "missing.yaml")
 
 
 class TestConfigRoundTrip:
@@ -247,7 +273,7 @@ class TestConfigRoundTrip:
         config = ScenarioConfig(seed=7, m_max=5)
         path = tmp_path / "out.yaml"
         write_yaml(path, config_to_dict(config))
-        reloaded = load_config(path)
+        reloaded = config_from_dict(load_yaml(path))
         assert reloaded == config
         assert config_hash(reloaded) == config_hash(config)
 
@@ -310,7 +336,7 @@ class TestConfigRoundTrip:
         config = ScenarioConfig(**kwargs)
         path = tmp_path_factory.getbasetemp() / "round_trip.yaml"
         save_config(config, path)
-        reloaded = load_config(path)
+        reloaded = config_from_dict(load_yaml(path))
         assert reloaded == config
         assert config_hash(reloaded) == config_hash(config)
 
@@ -330,7 +356,7 @@ class TestConfigRoundTrip:
         pinned = with_pinned_layout(config, topo)
         path = tmp_path / "pinned.yaml"
         write_yaml(path, config_to_dict(pinned))
-        reloaded = load_config(path)
+        reloaded = config_from_dict(load_yaml(path))
         assert build_topology(reloaded) == topo
 
     def test_pinned_full_layout_keeps_per_station_thresholds(self):
@@ -369,6 +395,54 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert key in err
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"radio": {"noise_dbm": 4000.0}},
+            {"actions": {"p_max_dbm": 4000.0}},
+            {
+                "radio": {"noise_dbm": -4000.0},
+                "actions": {"p_min_dbm": -4000.0, "p_max_dbm": -3999.0},
+            },
+        ],
+        ids=["noise_overflows", "level_overflows", "noise_underflows"],
+    )
+    def test_dbm_past_float_range_exits_1_naming_the_key(self, tmp_path, capsys, data):
+        path = write_yaml(tmp_path / "c.yaml", {**FAST_RUN, **data})
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "must be a positive, finite power in mW" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {
+                "layout": {
+                    "fbs_positions": [[0.0, 0.0], [35.0, 0.0]],
+                    "fue_positions": [[4.0, 3.0], [31.0, 6.5]],
+                }
+            },
+            {"qos": {"fue_min_capacity": [1.0, 2.0]}},
+        ],
+        ids=["explicit_layout", "per_station_thresholds"],
+    )
+    def test_overrides_are_validated_with_the_yaml(self, tmp_path, capsys, data):
+        # --m-max 2 meets a YAML whose lists need m_max = 2: valid together,
+        # and the same config as the YAML that says so itself
+        path = write_yaml(tmp_path / "c.yaml", data)
+        twin = write_yaml(
+            tmp_path / "twin.yaml",
+            {**data, "phases": {"m_max": 2}, "run": {"seed": 3, "output_dir": "elsewhere"}},
+        )
+        args = ["--seed", "3", "--m-max", "2", "--out", "elsewhere"]
+        assert main(["validate-config", "--config", path, *args]) == 0
+        overridden = capsys.readouterr().out
+        assert main(["validate-config", "--config", twin]) == 0
+        assert capsys.readouterr().out == overridden
+        assert config_hash(config_from_dict(load_yaml(twin))) in overridden
 
     def test_module_entry_point(self, tmp_path):
         env = {**os.environ, "PYTHONPATH": str(Path(femtoq.__file__).parents[1])}
@@ -540,6 +614,36 @@ class TestCli:
         with open(out / "oracle_result.csv", newline="") as fh:
             row = next(csv.DictReader(fh))
         assert row["optimality_gap"] == ""
+
+    @pytest.mark.parametrize(
+        "name,text",
+        [
+            ("manifest.json", "[1, 2]\n"),
+            ("manifest.json", "{bad\n"),
+            ("summary.csv", "m,c_mue_final\r\n2,1.0\r\n"),
+            ("summary.csv", "m,sum_capacity\r\nx,1.0\r\n"),
+        ],
+        ids=["manifest_list", "manifest_not_json", "summary_no_sum", "summary_bad_m"],
+    )
+    def test_oracle_with_unreadable_run_files_says_which(self, tmp_path, capsys, name, text):
+        data = {
+            **FAST_RUN,
+            "actions": {"p_min_dbm": -20.0, "p_max_dbm": 25.0, "n_power": 3},
+            "phases": {"m_max": 2, "seed_agents": 2},
+        }
+        config_path = write_yaml(tmp_path / "c.yaml", data)
+        out = tmp_path / "out"
+        assert main(["run", "--config", config_path, "--out", str(out), "--quiet"]) == 0
+        (out / name).write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["oracle", "--config", config_path, "--out", str(out), "--quiet"]) == 0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"oracle: cannot read {out / name} ")
+        with open(out / "oracle_result.csv", newline="") as fh:
+            row = next(csv.DictReader(fh))
+        assert row["learned_sum"] == "" and row["optimality_gap"] == ""
+        assert float(row["best_objective"]) > 0
 
     def test_oracle_matches_a_run_configured_in_python(self, tmp_path, capsys):
         out = tmp_path / "out"

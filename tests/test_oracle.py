@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from femtoq.channel import GainMatrix, evaluate_capacities
+from femtoq.channel import evaluate_capacities
 from femtoq.learning import ActionSet
 from femtoq.oracle import _CHUNK, EnumerationCapExceeded, _row_sums, exhaustive_search
 from femtoq.reward import QosThresholds
@@ -16,7 +16,7 @@ NOISE = 1.0
 
 def random_gain_matrix(m, seed):
     rng = np.random.default_rng(seed)
-    return GainMatrix(rng.uniform(1e-6, 1.0, size=(m + 1, m + 1)))
+    return rng.uniform(1e-6, 1.0, size=(m + 1, m + 1))
 
 
 class TestExhaustiveSearch:
@@ -24,7 +24,7 @@ class TestExhaustiveSearch:
         # no macro transmit power: the femto capacity is monotone in own
         # power, so the top level wins (macro capacity is zero, hence the
         # unconstrained branch reports infeasible)
-        gains = GainMatrix(np.full((2, 2), 0.5))
+        gains = np.full((2, 2), 0.5)
         actions = ActionSet(-20.0, 25.0, 5)
         thresholds = QosThresholds(mue=1e-9, fue=(1e-9,))
         result = exhaustive_search(
@@ -37,8 +37,7 @@ class TestExhaustiveSearch:
     def test_single_station_feasible_corner(self):
         # weak femto-to-macro coupling keeps the macro constraint satisfied
         # at every level, so the constrained optimum is still the top level
-        g = np.array([[0.5, 0.9], [1e-6, 0.5]])
-        gains = GainMatrix(g)
+        gains = np.array([[0.5, 0.9], [1e-6, 0.5]])
         actions = ActionSet(-20.0, 25.0, 5)
         thresholds = QosThresholds(mue=0.5, fue=(0.5,))
         result = exhaustive_search(
@@ -50,7 +49,7 @@ class TestExhaustiveSearch:
     def test_two_station_hand_enumeration(self):
         # symmetric unit gains, two power levels: enumerate the four joint
         # actions by hand with the scalar formulas
-        gains = GainMatrix(np.ones((3, 3)))
+        gains = np.ones((3, 3))
         actions = ActionSet(0.0, 10.0, 2)  # 1 mW and 10 mW
         thresholds = QosThresholds(mue=1e-9, fue=(1e-9, 1e-9))
         p_bs = 1.0
@@ -77,7 +76,7 @@ class TestExhaustiveSearch:
     def test_lexicographic_tie_break(self):
         # perfectly symmetric two-agent instance: (0, 1) and (1, 0) tie, the
         # lexicographically smaller vector must win
-        gains = GainMatrix(np.ones((3, 3)))
+        gains = np.ones((3, 3))
         actions = ActionSet(0.0, 10.0, 2)
         thresholds = QosThresholds(mue=1e-9, fue=(1e-9, 1e-9))
         result = exhaustive_search(gains, actions, thresholds, p_bs_mw=0.0, noise_mw=NOISE)
@@ -125,13 +124,12 @@ class TestExhaustiveSearch:
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(42)
         m = 3
-        gains = GainMatrix(rng.uniform(1e-5, 1.0, size=(m + 1, m + 1)))
+        g = rng.uniform(1e-5, 1.0, size=(m + 1, m + 1))
         actions = ActionSet(-20.0, 25.0, 3)
         thresholds = QosThresholds(mue=1e-9, fue=tuple(rng.uniform(0.1, 0.3, m)))
-        base = exhaustive_search(gains, actions, thresholds, p_bs_mw=5.0, noise_mw=NOISE)
+        base = exhaustive_search(g, actions, thresholds, p_bs_mw=5.0, noise_mw=NOISE)
 
         perm = [2, 0, 1]  # new index i holds old agent perm[i]
-        g = gains.as_array()
         permuted = np.empty_like(g)
         permuted[0, 0] = g[0, 0]
         for i, pi in enumerate(perm):
@@ -140,9 +138,7 @@ class TestExhaustiveSearch:
             for j, pj in enumerate(perm):
                 permuted[1 + j, 1 + i] = g[1 + pj, 1 + pi]
         thresholds_p = QosThresholds(mue=thresholds.mue, fue=tuple(thresholds.fue[p] for p in perm))
-        result_p = exhaustive_search(
-            GainMatrix(permuted), actions, thresholds_p, p_bs_mw=5.0, noise_mw=NOISE
-        )
+        result_p = exhaustive_search(permuted, actions, thresholds_p, p_bs_mw=5.0, noise_mw=NOISE)
         assert result_p.best_action == tuple(base.best_action[p] for p in perm)
         assert result_p.best_objective == pytest.approx(base.best_objective, rel=1e-12)
 
@@ -248,7 +244,7 @@ class TestBlockEnumeration:
     def test_ties_across_blocks_go_to_the_smallest_action(self, mue):
         # 15^3 <= 2^15 < 15^4: one block per level of the first station
         assert 15**3 <= _CHUNK < 15**4
-        gains = GainMatrix(np.ones((5, 5)))
+        gains = np.ones((5, 5))
         actions = ActionSet(-20.0, 25.0, 15)
         thresholds = QosThresholds(mue=mue, fue=(1e-9,) * 4)
 
