@@ -20,6 +20,26 @@ def dbm_to_mw(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0)
 
 
+class ActionSet:
+    """``n`` transmit power levels, uniformly spaced in dBm, both endpoints included.
+
+    ``ScenarioConfig`` checks that ``n >= 2`` and ``p_min_dbm < p_max_dbm``.
+    """
+
+    __slots__ = ("levels_dbm", "levels_mw")
+
+    def __init__(self, p_min_dbm: float, p_max_dbm: float, n: int):
+        levels = np.linspace(p_min_dbm, p_max_dbm, n)
+        levels.setflags(write=False)
+        self.levels_dbm = levels
+        mw = dbm_to_mw(levels)
+        mw.setflags(write=False)
+        self.levels_mw = mw
+
+    def __len__(self) -> int:
+        return self.levels_dbm.size
+
+
 def build_gain_matrix(
     topology: Topology,
     *,

@@ -206,8 +206,17 @@ def write_run_artifacts(config: ScenarioConfig, trace: RunTrace, out_dir: Path) 
     return manifest
 
 
-def run_experiment(config: ScenarioConfig, *, quiet: bool = False) -> Path:
+def _output_dir(config: ScenarioConfig) -> Path:
+    """``config.output_dir``, refused before any work if it or an ancestor is a file."""
     out_dir = Path(config.output_dir)
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"run.output_dir {out_dir}: {existing} exists and is not a directory")
+    return out_dir
+
+
+def run_experiment(config: ScenarioConfig, *, quiet: bool = False) -> Path:
+    out_dir = _output_dir(config)
     sim = Simulation(config)
     trace = sim.run()
     manifest = write_run_artifacts(config, trace, out_dir)
@@ -245,7 +254,7 @@ def _learned_sum(config: ScenarioConfig, out_dir: Path) -> float | None:
 
 
 def run_oracle(config: ScenarioConfig, *, quiet: bool = False) -> Path:
-    out_dir = Path(config.output_dir)
+    out_dir = _output_dir(config)
     sim = Simulation(config)  # the scenario, built as a run builds it
     result = exhaustive_search(
         sim.gains,
@@ -298,7 +307,9 @@ def main(argv=None) -> int:
     try:
         config = _effective_config(args)
         if args.command == "validate-config":
-            Simulation(config)  # the scenario too, so whatever run rejects is rejected here
+            # the output path and the scenario too, so whatever run rejects is rejected here
+            _output_dir(config)
+            Simulation(config)
             print(f"config ok (hash {config_hash(config)})")
             if not args.quiet:
                 print(yaml.safe_dump(config_to_dict(config), sort_keys=True), end="")

@@ -20,11 +20,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import Links, build_gain_matrix, dbm_to_mw
+from .channel import ActionSet, Links, build_gain_matrix, dbm_to_mw
 from .config import ADMISSION_STREAM, AGENT_STREAM, ScenarioConfig, build_topology, geometry_error
-from .learning import ActionSet, LearningParams, explore_until
 from .reward import REWARDS, QosThresholds, RewardFunction
 from .topology import AgentState, distance
+
+
+def explore_until(epsilon: float, explore_fraction: float, max_iterations: int) -> int:
+    """The first greedy iteration: ceil(explore_fraction * max_iterations), 0 if epsilon is 0.
+
+    Iterations below it explore with probability ``epsilon``. For an
+    integer i, ``i < ceil(x)`` holds exactly when ``i < x``.
+    """
+    return math.ceil(explore_fraction * max_iterations) if epsilon > 0.0 else 0
 
 
 def jain_index(values) -> float:
@@ -232,11 +240,11 @@ class DensityStep:
         self._row_start = np.arange(m) * n_actions
         self._groups = SharingGroups([a.state for a in agents] if sharing else [])
         self._draws = [(a.rng.random, a.rng.integers) for a in agents]
-        params = sim.params
+        config = sim.config
         self._explore_until = explore_until(
-            params.epsilon, params.explore_fraction, params.max_iterations
+            config.epsilon, config.explore_fraction, config.max_iterations
         )
-        n = -(-params.max_iterations // sim.config.trace_stride) + 1
+        n = -(-config.max_iterations // config.trace_stride) + 1
         ints = (np.zeros(n, np.intp), np.zeros((n, m), np.intp))
         floats = (np.zeros(n), np.zeros((n, m)), np.zeros((n, m)), np.zeros(n))
         self.trace = DensityTrace(self._agent_ids, *ints, *floats)
@@ -251,13 +259,13 @@ class DensityStep:
         Returns the iteration's ``actions, c_mue, c_fue, rewards, delta``.
         """
         sim = self._sim
-        params = sim.params
+        config = sim.config
         qmat, flat, groups = self._qmat, self._flat, self._groups
 
         actions = qmat.argmax(axis=1)
         row_max = flat[self._row_start + actions]
         if iteration < self._explore_until:
-            eps, n_actions = params.epsilon, qmat.shape[1]
+            eps, n_actions = config.epsilon, qmat.shape[1]
             for i, (random, integers) in enumerate(self._draws):
                 if random() < eps:
                     actions[i] = integers(n_actions)
@@ -269,7 +277,7 @@ class DensityStep:
 
         pos = self._row_start + actions
         old = flat[pos]
-        new = (1.0 - params.alpha) * old + params.alpha * (rewards + params.gamma * row_max)
+        new = (1.0 - config.alpha) * old + config.alpha * (rewards + config.gamma * row_max)
         change = np.abs(new - old)  # a row outside a sharing group changes only here
         if len(groups):
             before = qmat[groups.members]
@@ -287,11 +295,10 @@ class DensityStep:
 
         Every ``trace_stride``-th iteration is kept, and the last one too.
         """
-        sim = self._sim
-        stride = sim.config.trace_stride
-        window = sim.config.convergence_window
-        tolerance = sim.config.convergence_tolerance
-        last = sim.params.max_iterations - 1
+        sim, config = self._sim, self._sim.config
+        stride, window = config.trace_stride, config.convergence_window
+        tolerance = config.convergence_tolerance
+        last = config.max_iterations - 1
         step, t, k, streak = self.step, self.trace, 0, 0
         for iteration in range(last + 1):
             actions, c_mue, c_fue, rewards, delta = step(iteration)
@@ -354,13 +361,7 @@ class Simulation:
         self.config = config
         self.topology = build_topology(config)
         self.actions = ActionSet(config.p_min_dbm, config.p_max_dbm, config.n_power)
-        self.params = LearningParams(
-            alpha=config.alpha,
-            gamma=config.gamma,
-            epsilon=config.epsilon,
-            explore_fraction=config.explore_fraction,
-            max_iterations=config.max_iterations,
-        )
+        self.params = config  # the same object; perfbench/micro.py still reads sim.params
         try:
             self.gains = build_gain_matrix(
                 self.topology,

@@ -30,8 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Links
-from .learning import ActionSet
+from .channel import ActionSet, Links
 from .reward import QosThresholds
 
 _CHUNK = 1 << 15

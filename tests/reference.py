@@ -13,10 +13,9 @@ from typing import Sequence
 
 import numpy as np
 
-from femtoq.channel import _check_powers, evaluate_capacities
+from femtoq.channel import ActionSet, _check_powers, evaluate_capacities
 from femtoq.cli import DENSITY_COLUMNS
 from femtoq.coordinator import DensityTrace
-from femtoq.learning import ActionSet
 from femtoq.oracle import OracleResult
 from femtoq.reward import QosThresholds
 from femtoq.topology import AgentState, Position, Topology, distance

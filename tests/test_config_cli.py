@@ -716,6 +716,22 @@ class TestCli:
             assert captured.err.startswith("usage: femtoq")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("out", ["file", "file/sub"])
+    @pytest.mark.parametrize("command", ["validate-config", "run", "oracle"])
+    def test_out_on_a_file_exits_1_before_any_work(
+        self, tmp_path, capsys, monkeypatch, command, out
+    ):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("a Simulation was built")
+
+        monkeypatch.setattr("femtoq.cli.Simulation", no_simulation)
+        target = tmp_path / "file"
+        target.write_text("not a directory", encoding="utf-8")
+        path = write_yaml(tmp_path / "c.yaml", FAST_RUN)
+        assert main([command, "--config", path, "--out", str(tmp_path / out), "--quiet"]) == 1
+        assert capsys.readouterr().err.startswith("config error: run.output_dir ")
+        assert target.read_text(encoding="utf-8") == "not a directory"
+
     def test_unknown_reward_is_config_error(self, tmp_path, capsys):
         path = write_yaml(tmp_path / "c.yaml", {"reward": {"name": "mystery"}})
         assert main(["run", "--config", path]) == 1

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from femtoq.channel import dbm_to_mw
+from femtoq.cli import write_run_artifacts
 from femtoq.config import ScenarioConfig
 from femtoq.coordinator import (
     DensityStep,
@@ -401,6 +402,18 @@ class TestSimulationProtocol:
             b = trace_b.records[m]
             for f in fields(a):
                 assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), (m, f.name)
+
+    def test_runs_on_one_config_object_leave_no_state_behind(self, tmp_path):
+        # the learning constants are read from the config object itself, so two
+        # simulations built on it, run out of order, must each write what a run
+        # on its own writes, byte for byte
+        config = tiny_config(m_max=4, trace_stride=10)
+        write_run_artifacts(config, Simulation(config).run(), tmp_path / "fresh")
+        sim_a, sim_b = Simulation(config), Simulation(config)
+        sim_b.run()
+        write_run_artifacts(config, sim_a.run(), tmp_path / "a")
+        for name in ["summary.csv", *(f"density_{m:02d}.csv" for m in range(1, 5))]:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
 
     def test_seed_changes_trajectory(self):
         trace_a = Simulation(tiny_config(seed=1)).run()

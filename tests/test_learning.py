@@ -1,12 +1,13 @@
-"""Tests for the Q-learning parameters, action set, exploration horizon and update rule."""
+"""Tests for the action set, exploration horizon, update rule and learning constants."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from femtoq.channel import ActionSet
 from femtoq.config import ConfigError, ScenarioConfig
-from femtoq.learning import ActionSet, explore_until
+from femtoq.coordinator import explore_until
 from reference import q_update, select_action
 
 REL = 1e-9
@@ -158,7 +159,7 @@ class TestQUpdate:
 
 
 class TestLearningParams:
-    # LearningParams carries what ScenarioConfig has checked
+    # the learner reads alpha, gamma, epsilon and the schedule from the config, which checks them
     @pytest.mark.parametrize(
         "kwargs",
         [

@@ -5,8 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from femtoq.channel import evaluate_capacities
-from femtoq.learning import ActionSet
+from femtoq.channel import ActionSet, evaluate_capacities
 from femtoq.oracle import _CHUNK, EnumerationCapExceeded, _row_sums, exhaustive_search
 from femtoq.reward import QosThresholds
 from reference import batch_capacities, capacity_bps_hz, one_shot_oracle

@@ -11,7 +11,7 @@ import pytest
 import femtoq
 
 SRC = Path(femtoq.__file__).parents[1]
-MODULES = ("channel", "config", "coordinator", "learning", "oracle", "reward", "topology")
+MODULES = ("channel", "config", "coordinator", "oracle", "reward", "topology")
 
 # run in a fresh interpreter, so no other test's imports show
 _PROBE = """
