@@ -27,7 +27,7 @@ from .config import (
     load_yaml,
     save_config,
 )
-from .coordinator import DensityTrace, RunTrace, Simulation
+from .coordinator import RunTrace, Simulation
 from .oracle import EnumerationCapExceeded, exhaustive_search
 
 # DensitySummary fields, in the order summary.csv lists them
@@ -124,7 +124,7 @@ def _texts(values: np.ndarray) -> list[str]:
     return repr(values.ravel().tolist())[1:-1].split(", ")
 
 
-def _write_density_csv(path: Path, density: DensityTrace, dbm_text: np.ndarray) -> None:
+def _write_density_csv(path: Path, density: np.recarray, agent_ids, dbm_text) -> None:
     """One line per agent per kept iteration; ``dbm_text[a]`` is level a's text.
 
     Each column is formatted at once, the per-iteration ones repeated
@@ -133,27 +133,25 @@ def _write_density_csv(path: Path, density: DensityTrace, dbm_text: np.ndarray) 
     writes: every field is a number, so none is quoted, and each line
     ends in ``\r\n``.
     """
-    m = len(density.agent_ids)
-    agent_text = [str(a) for a in density.agent_ids]
+    m = len(agent_ids)
+    agent_text = [str(a) for a in agent_ids]
     line = "{},{},{},{},{},{},{}\r\n".format
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(DENSITY_COLUMNS) + "\r\n")
         for start in range(0, len(density), _WRITE_BLOCK):
-            iteration, actions, c_mue, c_fue, rewards, delta = (
-                c[start : start + _WRITE_BLOCK] for c in density.columns()
-            )
-            n = len(iteration)
+            block = density[start : start + _WRITE_BLOCK]
             iteration, c_mue, delta = (
-                np.repeat(np.array(_texts(c), dtype=object), m) for c in (iteration, c_mue, delta)
+                np.repeat(np.array(_texts(c), dtype=object), m)
+                for c in (block.iteration, block.c_mue, block.max_q_delta)
             )
             lines = map(
                 line,
                 iteration,
-                agent_text * n,
-                dbm_text[actions.ravel()],
+                agent_text * len(block),
+                dbm_text[block.actions.ravel()],
                 c_mue,
-                _texts(c_fue),
-                _texts(rewards),
+                _texts(block.c_fue),
+                _texts(block.rewards),
                 delta,
             )
             fh.write("".join(lines))
@@ -179,7 +177,8 @@ def write_run_artifacts(config: ScenarioConfig, trace: RunTrace, out_dir: Path) 
     )
 
     for m, density in trace.records.items():
-        _write_density_csv(out_dir / f"density_{m:02d}.csv", density, dbm_text)
+        agent_ids = trace.admission_order[:m]
+        _write_density_csv(out_dir / f"density_{m:02d}.csv", density, agent_ids, dbm_text)
 
     _write_csv(
         out_dir / "plot_fue_capacities.csv",

@@ -14,14 +14,21 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from .channel import ActionSet, Links, build_gain_matrix, dbm_to_mw
-from .config import ADMISSION_STREAM, AGENT_STREAM, ScenarioConfig, build_topology, geometry_error
+from .config import (
+    ADMISSION_STREAM,
+    AGENT_STREAM,
+    ConfigError,
+    ScenarioConfig,
+    build_topology,
+    geometry_error,
+)
 from .reward import REWARDS, QosThresholds, RewardFunction
 from .topology import AgentState, distance
 
@@ -77,44 +84,29 @@ class DensitySummary:
     converged: bool
 
 
-@dataclass
-class DensityTrace:
-    """The kept iterations of one density step: one row each, in columns.
-
-    A step of k iterations keeps iterations 0, s, 2s, ... below k for
-    ``trace_stride`` s, and iteration k - 1 too when it is off the stride.
-    That is at most ceil(max_iterations / s) + 1 rows, the block
-    ``DensityStep`` allocates before it runs.
-    """
-
-    agent_ids: tuple[int, ...]
-    iteration: np.ndarray  # (n,) int
-    actions: np.ndarray  # (n, m) int, indices into the action set
-    c_mue: np.ndarray  # (n,)
-    c_fue: np.ndarray  # (n, m)
-    rewards: np.ndarray  # (n, m)
-    max_q_delta: np.ndarray  # (n,)
-
-    def columns(self) -> tuple[np.ndarray, ...]:
-        """``iteration, actions, c_mue, c_fue, rewards, max_q_delta``, in that order."""
-        return tuple(getattr(self, f.name) for f in fields(self)[1:])
-
-    def head(self, n: int) -> DensityTrace:
-        """A copy of the first ``n`` rows, which frees the rest of the block."""
-        return DensityTrace(self.agent_ids, *(c[:n].copy() for c in self.columns()))
-
-    def __len__(self) -> int:
-        return len(self.iteration)
+def trace_block(m: int, n: int) -> np.recarray:
+    """``n`` uninitialised rows, one per kept iteration of a density step of ``m`` agents."""
+    return np.recarray(
+        n,
+        [
+            ("iteration", np.intp),
+            ("actions", np.intp, (m,)),
+            ("c_mue", float),
+            ("c_fue", float, (m,)),
+            ("rewards", float, (m,)),
+            ("max_q_delta", float),
+        ],
+    )
 
 
 @dataclass
 class RunTrace:
-    """Everything recorded over a full density sweep; ``levels_dbm[a]`` is action a in dBm."""
+    """Everything recorded over a full density sweep; step m ran ``admission_order[:m]``."""
 
     admission_order: tuple[int, ...]
-    levels_dbm: np.ndarray
+    levels_dbm: np.ndarray  # action a is levels_dbm[a] dBm
     summaries: list[DensitySummary] = field(default_factory=list)
-    records: dict[int, DensityTrace] = field(default_factory=dict)
+    records: dict[int, np.recarray] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -218,15 +210,14 @@ class DensityStep:
 
     ``step`` writes no trace and counts nothing; it returns the iteration's
     ``actions, c_mue, c_fue, rewards, delta``. ``run`` counts consecutive
-    deltas below the tolerance, copies each kept iteration into the next
-    row of ``trace``, a block allocated once for every row it can keep, and
-    returns the block trimmed to the rows it filled.
+    deltas below the tolerance and writes each kept iteration as one row of
+    a ``trace_block``.
     """
 
     def __init__(self, sim: "Simulation", agents: list[Agent], *, sharing: bool):
         self._sim = sim
         self._agent_ids = tuple(a.agent_id for a in agents)
-        m = len(agents)
+        self.m = m = len(agents)
         self._ids = np.array(self._agent_ids, dtype=np.intp)
         self._capacities = Links(sim.gains, sim.p_bs_mw, sim.noise_mw, ids=self._ids).capacities
         self._proximity = np.array([a.proximity for a in agents])
@@ -244,14 +235,6 @@ class DensityStep:
         self._explore_until = explore_until(
             config.epsilon, config.explore_fraction, config.max_iterations
         )
-        n = -(-config.max_iterations // config.trace_stride) + 1
-        ints = (np.zeros(n, np.intp), np.zeros((n, m), np.intp))
-        floats = (np.zeros(n), np.zeros((n, m)), np.zeros((n, m)), np.zeros(n))
-        self.trace = DensityTrace(self._agent_ids, *ints, *floats)
-
-    @property
-    def m(self) -> int:
-        return len(self._agent_ids)
 
     def step(self, iteration: int) -> tuple[np.ndarray, float, np.ndarray, np.ndarray, float]:
         """Run one synchronous iteration: select, evaluate, reward, update, share.
@@ -290,29 +273,29 @@ class DensityStep:
             self._check_finite(iteration + 1)
         return actions, c_mue, c_fue, rewards, delta
 
-    def run(self) -> tuple[DensitySummary, DensityTrace]:
+    def run(self) -> tuple[DensitySummary, np.recarray]:
         """Iterate to convergence or the budget, then write back and summarize.
 
-        Every ``trace_stride``-th iteration is kept, and the last one too.
+        Of k iterations, 0, s, 2s, ... below k (``trace_stride`` s) and k - 1
+        are kept: at most ceil(max_iterations / s) + 1 rows, returned as a copy.
         """
         sim, config = self._sim, self._sim.config
         stride, window = config.trace_stride, config.convergence_window
         tolerance = config.convergence_tolerance
         last = config.max_iterations - 1
-        step, t, k, streak = self.step, self.trace, 0, 0
+        t = trace_block(self.m, -(-config.max_iterations // stride) + 1)
+        step, k, streak = self.step, 0, 0
         for iteration in range(last + 1):
             actions, c_mue, c_fue, rewards, delta = step(iteration)
             streak = streak + 1 if delta < tolerance else 0
             converged = streak >= window
             if iteration % stride == 0 or converged or iteration == last:
-                t.iteration[k], t.actions[k], t.c_mue[k] = iteration, actions, c_mue
-                t.c_fue[k], t.rewards[k], t.max_q_delta[k] = c_fue, rewards, delta
+                t[k] = iteration, actions, c_mue, c_fue, rewards, delta
                 k += 1
             if converged:
                 break
         sim.q[self._ids] = self._qmat
-        self.trace = t.head(k)
-        return self._summary(iteration + 1, converged), self.trace
+        return self._summary(iteration + 1, converged), t[:k].copy()
 
     def _check_finite(self, iterations: int) -> None:
         bad = ~np.isfinite(self._qmat).all(axis=1)
@@ -346,7 +329,8 @@ class Simulation:
     """Full experiment: build the scenario, then sweep density with admission.
 
     A config whose scenario cannot be built (two nodes on one spot, a link
-    gain outside (0, 1]) raises a ``ConfigError`` naming its YAML keys.
+    gain outside (0, 1]) or whose largest SINR or reward gain term is past
+    float range raises a ``ConfigError`` naming its YAML keys.
 
     ``reward_fn`` is called once per iteration as ``reward_fn(c_fue, c_mue,
     proximity, q_fue, q_mue)``: the active agents' femto capacities, the
@@ -407,6 +391,22 @@ class Simulation:
                     ),
                 )
             )
+
+        # the largest values any density step meets: the macro user's SINR with
+        # station 0, admitted first, alone at p_min; femto user j's with station
+        # j alone at p_max; the reward's gain term at the largest of each factor
+        g, levels = self.gains, self.actions.levels_mw
+        with np.errstate(over="ignore", invalid="ignore"):
+            sinr_mue = self.p_bs_mw * g[0, 0] / (levels[0] * g[1, 0] + self.noise_mw)
+            sinr_fue = levels[-1] * np.diag(g)[1:] / (self.p_bs_mw * g[0, 1:] + self.noise_mw)
+            c_fue, c_mue = np.log2(1.0 + sinr_fue).max(), np.log2(1.0 + sinr_mue)
+            proximity = max(a.proximity for a in self.agents)
+            gain = proximity * c_fue * c_mue**config.mue_capacity_exponent
+        powers = "radio.noise_dbm, radio.p_bs_dbm, actions.p_min_dbm, actions.p_max_dbm"
+        if not (math.isfinite(sinr_mue) and np.isfinite(sinr_fue).all()):
+            raise ConfigError(f"{powers}: a user's largest SINR is past float range")
+        if not math.isfinite(gain):
+            raise ConfigError("reward.mue_capacity_exponent: the reward gain is past float range")
 
         n_seed = min(config.seed_agents, config.m_max)
         admission_rng = np.random.default_rng(

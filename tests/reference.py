@@ -15,7 +15,6 @@ import numpy as np
 
 from femtoq.channel import ActionSet, _check_powers, evaluate_capacities
 from femtoq.cli import DENSITY_COLUMNS
-from femtoq.coordinator import DensityTrace
 from femtoq.oracle import OracleResult
 from femtoq.reward import QosThresholds
 from femtoq.topology import AgentState, Position, Topology, distance
@@ -346,19 +345,19 @@ def one_shot_oracle(
 # -- artifacts -----------------------------------------------------------
 
 
-def density_rows(density: DensityTrace, dbm_text: list[str]):
+def density_rows(density: np.recarray, agent_ids, dbm_text: list[str]):
     """One CSV row per agent per kept iteration; ``dbm_text[a]`` is level a's text."""
-    columns = (c.tolist() for c in density.columns())
+    columns = (density[name].tolist() for name in density.dtype.names)
     for iteration, actions, c_mue, c_fue, rewards, delta in zip(*columns):
         c_mue, delta = repr(c_mue), repr(delta)
-        for aid, a, c, r in zip(density.agent_ids, actions, c_fue, rewards):
+        for aid, a, c, r in zip(agent_ids, actions, c_fue, rewards):
             yield iteration, aid, dbm_text[a], c_mue, repr(c), repr(r), delta
 
 
-def density_csv(density: DensityTrace, levels_dbm: np.ndarray) -> bytes:
+def density_csv(density: np.recarray, agent_ids, levels_dbm: np.ndarray) -> bytes:
     """The bytes of a density CSV, its rows written by ``csv.writer``."""
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
     writer.writerow(DENSITY_COLUMNS)
-    writer.writerows(density_rows(density, [repr(p) for p in levels_dbm.tolist()]))
+    writer.writerows(density_rows(density, agent_ids, [repr(p) for p in levels_dbm.tolist()]))
     return buf.getvalue().encode("utf-8")

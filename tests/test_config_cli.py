@@ -29,7 +29,7 @@ from femtoq.config import (
     save_config,
     with_pinned_layout,
 )
-from femtoq.coordinator import DensityTrace, RunTrace, Simulation
+from femtoq.coordinator import RunTrace, Simulation, trace_block
 from femtoq.topology import Topology
 from reference import density_csv
 
@@ -44,22 +44,38 @@ FAST_RUN = {
 }
 
 
-# configs that ScenarioConfig accepts but whose scenario cannot be built,
-# with the YAML key the error must name
+# configs that ScenarioConfig accepts but whose scenario cannot be built or
+# leaves float range, with the YAML keys the error must name
 SCENARIO_ERRORS = {
     "user_on_its_station": (
         {
             "layout": {"fbs_positions": [[0.0, 0.0]], "fue_positions": [[0.0, 0.0]]},
             "phases": {"m_max": 1, "seed_agents": 1},
         },
-        "layout.fue_positions",
+        ["layout.fue_positions"],
     ),
     "serving_gain_above_one": (
         {"layout": {"fue_min_distance_m": 0.01, "fue_radius_m": 0.05}},
-        "layout.fue_min_distance_m",
+        ["layout.fue_min_distance_m"],
     ),
-    "negative_pl0": ({"pathloss": {"pl0_db": -5.0}}, "pathloss.pl0_db"),
-    "gain_past_float_range": ({"pathloss": {"pl0_db": -5000.0}}, "pathloss.pl0_db"),
+    "negative_pl0": ({"pathloss": {"pl0_db": -5.0}}, ["pathloss.pl0_db"]),
+    "gain_past_float_range": ({"pathloss": {"pl0_db": -5000.0}}, ["pathloss.pl0_db"]),
+    "sinr_overflows": (
+        {
+            "radio": {"noise_dbm": -3236},
+            "actions": {"p_min_dbm": -3236, "p_max_dbm": -3235},
+            "phases": {"m_max": 3},
+        },
+        ["radio.noise_dbm", "radio.p_bs_dbm", "actions.p_min_dbm", "actions.p_max_dbm"],
+    ),
+    "reward_gain_overflows": (
+        {
+            "reward": {"mue_capacity_exponent": 400},
+            "phases": {"m_max": 3},
+            "learning": {"max_iterations": 200},
+        },
+        ["reward.mue_capacity_exponent"],
+    ),
 }
 
 
@@ -389,12 +405,27 @@ class TestCli:
     @pytest.mark.parametrize("command", ["validate-config", "run", "oracle"])
     @pytest.mark.parametrize("case", SCENARIO_ERRORS)
     def test_scenario_errors_exit_1_naming_the_key(self, tmp_path, capsys, case, command):
-        data, key = SCENARIO_ERRORS[case]
+        data, keys = SCENARIO_ERRORS[case]
         path = write_yaml(tmp_path / "c.yaml", data)
         assert main([command, "--config", path, "--out", str(tmp_path / "out"), "--quiet"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
-        assert key in err
+        assert all(key in err for key in keys)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"radio": {"noise_dbm": -3236}},  # station 0's interference keeps the SINR finite
+            {"reward": {"mue_capacity_exponent": 300}},
+        ],
+        ids=["subnormal_noise", "exponent_300"],
+    )
+    def test_values_short_of_overflow_run(self, tmp_path, data):
+        steps = {"phases": {"m_max": 3}, "learning": {"max_iterations": 200}}
+        path = write_yaml(tmp_path / "c.yaml", {**steps, **data})
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out"), "--quiet"]) == 0
+        assert (tmp_path / "out" / "density_03.csv").exists()
 
     @pytest.mark.parametrize(
         "data",
@@ -741,7 +772,7 @@ class TestCli:
 def assert_density_csvs_match(trace, out_dir):
     write_run_artifacts(ScenarioConfig(), trace, out_dir)
     for m, density in trace.records.items():
-        expected = density_csv(density, trace.levels_dbm)
+        expected = density_csv(density, trace.admission_order[:m], trace.levels_dbm)
         assert (out_dir / f"density_{m:02d}.csv").read_bytes() == expected, f"density {m}"
 
 
@@ -755,27 +786,38 @@ class TestDensityCsv:
         )
         assert_density_csvs_match(Simulation(config).run(), tmp_path)
 
+    def test_agent_ids_follow_the_admission_order(self, tmp_path):
+        config = ScenarioConfig(
+            m_max=5, seed_agents=1, n_power=5, max_iterations=100, trace_stride=7, seed=4
+        )
+        trace = Simulation(config).run()
+        assert list(trace.admission_order) != sorted(trace.admission_order)
+        write_run_artifacts(config, trace, tmp_path)
+        for m, density in trace.records.items():
+            with open(tmp_path / f"density_{m:02d}.csv", newline="", encoding="utf-8") as fh:
+                ids = [int(row["agent_id"]) for row in csv.DictReader(fh)]
+            assert ids == list(trace.admission_order[:m]) * len(density), m
+
     def test_odd_floats_single_rows_and_blocks(self, tmp_path):
         odd = np.array([1e-05, 1e16, -0.0, 0.1, -2.5e-300, 123456789.125, np.nan, -np.inf])
         levels = np.array([-20.0, 1e-05, -0.0, 1e16])
         rng = np.random.default_rng(5)
 
-        def trace(agent_ids, n):
-            m = len(agent_ids)
-            return DensityTrace(
-                agent_ids,
-                np.arange(n) * 3,
-                rng.integers(0, len(levels), size=(n, m)),
-                rng.choice(odd, size=n),
-                rng.choice(odd, size=(n, m)),
-                rng.uniform(-1.0, 1.0, size=(n, m)) * 10.0 ** rng.integers(-20, 20, size=(n, m)),
-                rng.choice(odd, size=n),
-            )
+        def trace(m, n):
+            t = trace_block(m, n)
+            t.iteration = np.arange(n) * 3
+            t.actions = rng.integers(0, len(levels), size=(n, m))
+            t.c_mue = rng.choice(odd, size=n)
+            t.c_fue = rng.choice(odd, size=(n, m))
+            t.rewards = rng.uniform(-1.0, 1.0, size=(n, m)) * 10.0 ** rng.integers(-20, 20, (n, m))
+            t.max_q_delta = rng.choice(odd, size=n)
+            return t
 
+        # step m's agents are the first m of the admission order
         records = {
-            1: trace((4,), 1),  # one station, one kept row
-            2: trace((0, 7), 1),
-            3: trace((2,), 1100),  # one station over several write blocks
-            4: trace((9, 1, 3, 6), 1025),
+            1: trace(1, 1),  # one station, one kept row
+            2: trace(2, 1),
+            3: trace(3, 1100),  # several write blocks
+            4: trace(4, 1025),
         }
         assert_density_csvs_match(RunTrace((4, 0, 7, 2), levels, [], records), tmp_path)

@@ -1,6 +1,5 @@
 """Tests for the simulation loop, row sharing, convergence, and metrics."""
 
-from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -400,8 +399,8 @@ class TestSimulationProtocol:
         assert trace_a.records.keys() == trace_b.records.keys()
         for m, a in trace_a.records.items():
             b = trace_b.records[m]
-            for f in fields(a):
-                assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), (m, f.name)
+            for name in a.dtype.names:
+                assert np.array_equal(a[name], b[name]), (m, name)
 
     def test_runs_on_one_config_object_leave_no_state_behind(self, tmp_path):
         # the learning constants are read from the config object itself, so two
@@ -450,15 +449,26 @@ class TestSimulationProtocol:
             trace_stride=stride,
         )
         sim = Simulation(config)
-        step = DensityStep(sim, [sim.agents[0]], sharing=False)
-        allocated = len(step.trace)
-        summary, trace = step.run()
+        summary, trace = DensityStep(sim, [sim.agents[0]], sharing=False).run()
         assert not summary.converged
         kept = sorted(set(range(0, max_iterations, stride)) | {max_iterations - 1})
         assert trace.iteration.tolist() == kept
-        assert len(trace) == len(kept) <= allocated
-        assert allocated == -(-max_iterations // stride) + 1
+        assert len(trace) == len(kept) <= -(-max_iterations // stride) + 1
         assert trace.actions.shape == trace.c_fue.shape == trace.rewards.shape == (len(kept), 1)
+
+    def test_returned_traces_own_their_rows(self):
+        # steps that converge and steps that run out, with and without sharing
+        config = tiny_config(m_max=4, seed_agents=2, trace_stride=7, convergence_window=10)
+        trace = Simulation(config).run()
+        assert {s.converged for s in trace.summaries} == {False, True}
+        bound = -(-config.max_iterations // config.trace_stride) + 1
+        for m, density in trace.records.items():
+            assert density.base is None, m
+            assert 1 <= len(density) <= bound
+            assert density.dtype.names == (
+                "iteration", "actions", "c_mue", "c_fue", "rewards", "max_q_delta"
+            )
+            assert density.actions.shape == density.rewards.shape == (len(density), m)
 
     def test_run_keeps_the_rows_step_returns(self):
         config = tiny_config(m_max=4, seed_agents=1, trace_stride=7, seed=3)
@@ -477,9 +487,10 @@ class TestSimulationProtocol:
         config = tiny_config(max_iterations=20, trace_stride=1)
         sim = Simulation(config)
         step = DensityStep(sim, list(sim.agents), sharing=True)
+        q = sim.q.copy()
         for iteration in range(3 * config.max_iterations):
             step.step(iteration)
-        assert not step.trace.iteration.any() and not step.trace.rewards.any()
+        assert np.array_equal(sim.q, q)
 
 
 class TestConstraints:
