@@ -329,8 +329,8 @@ class Simulation:
     """Full experiment: build the scenario, then sweep density with admission.
 
     A config whose scenario cannot be built (two nodes on one spot, a link
-    gain outside (0, 1]) or whose largest SINR or reward gain term is past
-    float range raises a ``ConfigError`` naming its YAML keys.
+    gain outside (0, 1]) or whose largest SINR or Q-value can pass float
+    range raises a ``ConfigError`` naming its YAML keys.
 
     ``reward_fn`` is called once per iteration as ``reward_fn(c_fue, c_mue,
     proximity, q_fue, q_mue)``: the active agents' femto capacities, the
@@ -392,21 +392,27 @@ class Simulation:
                 )
             )
 
-        # the largest values any density step meets: the macro user's SINR with
-        # station 0, admitted first, alone at p_min; femto user j's with station
-        # j alone at p_max; the reward's gain term at the largest of each factor
-        g, levels = self.gains, self.actions.levels_mw
+        # the largest values any step meets: the macro user's SINR with station 0
+        # (admitted first) alone at p_min, femto user j's with station j alone at
+        # p_max, |reward| with each term at its largest, and |Q| after T updates
+        g, levels, gamma = self.gains, self.actions.levels_mw, config.gamma
         with np.errstate(over="ignore", invalid="ignore"):
             sinr_mue = self.p_bs_mw * g[0, 0] / (levels[0] * g[1, 0] + self.noise_mw)
             sinr_fue = levels[-1] * np.diag(g)[1:] / (self.p_bs_mw * g[0, 1:] + self.noise_mw)
-            c_fue, c_mue = np.log2(1.0 + sinr_fue).max(), np.log2(1.0 + sinr_mue)
-            proximity = max(a.proximity for a in self.agents)
-            gain = proximity * c_fue * c_mue**config.mue_capacity_exponent
+            c_fue, c_mue = np.log2(1.0 + sinr_fue), np.log2(1.0 + sinr_mue)
+            proximity = [a.proximity for a in self.agents]
+            q_fue, q_mue = np.array(self.thresholds.fue), self.thresholds.mue
+            reward = max(proximity) * c_fue.max() * c_mue**config.mue_capacity_exponent
+            reward += max(q_mue, c_mue - q_mue) ** 2 / min(proximity)
+            reward += (np.maximum(q_fue, c_fue - q_fue) ** 2).max()
+            t = config.m_max * config.max_iterations
+            horizon = t if gamma == 1.0 else (1.0 - gamma**t) / (1.0 - gamma)
+            q_sum = reward * horizon * max(2, config.m_max)  # a group sum or a Q-change
         powers = "radio.noise_dbm, radio.p_bs_dbm, actions.p_min_dbm, actions.p_max_dbm"
         if not (math.isfinite(sinr_mue) and np.isfinite(sinr_fue).all()):
             raise ConfigError(f"{powers}: a user's largest SINR is past float range")
-        if not math.isfinite(gain):
-            raise ConfigError("reward.mue_capacity_exponent: the reward gain is past float range")
+        if not math.isfinite(q_sum):
+            raise ConfigError("learning.gamma, reward.mue_capacity_exponent: Q-values may overflow")
 
         n_seed = min(config.seed_agents, config.m_max)
         admission_rng = np.random.default_rng(

@@ -13,9 +13,9 @@ from typing import Sequence
 
 import numpy as np
 
-from femtoq.channel import ActionSet, _check_powers, evaluate_capacities
+from femtoq.channel import ActionSet, Links, _check_powers, evaluate_capacities
 from femtoq.cli import DENSITY_COLUMNS
-from femtoq.oracle import OracleResult
+from femtoq.oracle import _CHUNK, OracleResult, _row_sums
 from femtoq.reward import QosThresholds
 from femtoq.topology import AgentState, Position, Topology, distance
 
@@ -339,6 +339,90 @@ def one_shot_oracle(
         c_mue=c_mue_best,
         fue_capacities=tuple(float(c) for c in c_fue_best),
         n_enumerated=n**m,
+    )
+
+
+def block_oracle(
+    gains: np.ndarray,
+    actions: ActionSet,
+    thresholds: QosThresholds,
+    *,
+    p_bs_mw: float,
+    noise_mw: float,
+) -> OracleResult:
+    """``oracle.exhaustive_search`` evaluating every block, in lexicographic order.
+
+    The search before it pruned: the same ``(n**k, m)`` blocks through the
+    same ``Links.capacities`` and ``_row_sums``, all of them, prefix after
+    prefix, a later block winning only when strictly better. Unlike
+    ``one_shot_oracle`` it holds one block at a time, so it fits the
+    benchmark's 25^5-action space in memory.
+    """
+    m = len(gains) - 1
+    n = len(actions)
+    total = n**m
+
+    links = Links(gains, p_bs_mw, noise_mw)
+    q_fue = np.asarray(thresholds.fue)
+    levels = actions.levels_mw
+
+    # the last k agents vary inside a block, the first p = m - k are fixed
+    # per block; agent 0 is the most significant digit throughout
+    k = 1
+    while k < m and n ** (k + 1) <= _CHUNK:
+        k += 1
+    p = m - k
+    # one workspace for the block and the capacities written from it, so
+    # the block loop allocates no large array: glibc's malloc raises its
+    # mmap and trim thresholds to the largest chunk it has unmapped, and
+    # once it has unmapped this one, every later call and every smaller
+    # temporary reuses pages already mapped instead of faulting fresh ones
+    rows = n**k
+    work = np.empty((3 * m + 1) * rows)
+    size = rows * m
+    block = work[:size].reshape(rows, m)
+    c_fue, signal = (work[i * size : (i + 1) * size].reshape(m, rows) for i in (1, 2))
+    c_mue = work[3 * size :]
+    block[:, p:] = levels[np.indices((n,) * k).reshape(k, -1).T]
+
+    best_any = (-np.inf, None)
+    best_feasible = (-np.inf, None)
+    for b, prefix in enumerate(np.ndindex((n,) * p)):
+        start = b * len(block)
+        # one scalar fill per column: a (p,) row broadcast into the strided
+        # prefix columns costs several times more
+        for j, d in enumerate(prefix):
+            block[:, j] = levels[d]
+        links.capacities(block, out=(c_mue, c_fue, signal))
+        sums = _row_sums(c_fue)
+
+        i = int(np.argmax(sums))
+        if sums[i] > best_any[0]:
+            best_any = (float(sums[i]), start + i)
+        # the femto comparisons only matter where the macro user is served
+        feasible = c_mue >= thresholds.mue
+        if feasible.any():
+            for j in range(m):
+                feasible &= c_fue[j] >= q_fue[j]
+        if feasible.any():
+            masked = np.where(feasible, sums, -np.inf)
+            i = int(np.argmax(masked))
+            if masked[i] > best_feasible[0]:
+                best_feasible = (float(masked[i]), start + i)
+
+    feasible_found = best_feasible[1] is not None
+    objective, flat_index = best_feasible if feasible_found else best_any
+    indices = tuple(int(d) for d in np.unravel_index(flat_index, (n,) * m))
+    c_mue, c_fue = links.capacities(levels[np.array(indices)])
+
+    return OracleResult(
+        best_action=indices,
+        best_powers_dbm=tuple(float(actions.levels_dbm[i]) for i in indices),
+        best_objective=objective,
+        feasible=feasible_found,
+        c_mue=c_mue,
+        fue_capacities=tuple(float(c) for c in c_fue),
+        n_enumerated=total,
     )
 
 

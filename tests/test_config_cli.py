@@ -76,6 +76,18 @@ SCENARIO_ERRORS = {
         },
         ["reward.mue_capacity_exponent"],
     ),
+    # the reward's gain term stays in range, but a Q-value grows to about
+    # reward / (1 - gamma): learning used to overflow after 376 iterations
+    "q_values_overflow": (
+        {
+            "reward": {"mue_capacity_exponent": 357},
+            "learning": {"gamma": 0.999, "max_iterations": 20000},
+            "convergence": {"window": 20000},
+            "phases": {"m_max": 1, "seed_agents": 1},
+            "actions": {"p_max_dbm": -19.999, "n_power": 2},
+        },
+        ["learning.gamma", "reward.mue_capacity_exponent"],
+    ),
 }
 
 
@@ -426,6 +438,20 @@ class TestCli:
         path = write_yaml(tmp_path / "c.yaml", {**steps, **data})
         assert main(["run", "--config", path, "--out", str(tmp_path / "out"), "--quiet"]) == 0
         assert (tmp_path / "out" / "density_03.csv").exists()
+
+    def test_largest_exponent_the_q_bound_accepts_runs(self, tmp_path, capsys):
+        # the overflowing settings above at a tenth of the budget: the Q-value
+        # bound refuses exponent 356 and lets 355 learn without overflow
+        data, _ = SCENARIO_ERRORS["q_values_overflow"]
+        data = {**data, "learning": {"gamma": 0.999, "max_iterations": 2000}}
+        data["convergence"] = {"window": 2000}
+        for exponent, code in ((356, 1), (355, 0)):
+            data["reward"] = {"mue_capacity_exponent": exponent}
+            path = write_yaml(tmp_path / "c.yaml", data)
+            out = tmp_path / f"out{exponent}"
+            assert main(["run", "--config", path, "--out", str(out), "--quiet"]) == code
+            assert (out / "density_01.csv").exists() == (code == 0)
+        assert "learning.gamma" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "data",

@@ -1,14 +1,28 @@
 """Tests for the exhaustive joint-action search baseline."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from femtoq.channel import ActionSet, evaluate_capacities
-from femtoq.oracle import _CHUNK, EnumerationCapExceeded, _row_sums, exhaustive_search
+from femtoq import oracle
+from femtoq.channel import ActionSet, Links, evaluate_capacities
+from femtoq.config import ScenarioConfig, with_pinned_layout
+from femtoq.coordinator import Simulation
+from femtoq.oracle import (
+    _CHUNK,
+    EnumerationCapExceeded,
+    _block_bounds,
+    _row_sums,
+    exhaustive_search,
+)
 from femtoq.reward import QosThresholds
-from reference import batch_capacities, capacity_bps_hz, one_shot_oracle
+from femtoq.topology import Topology
+from reference import batch_capacities, block_oracle, capacity_bps_hz, one_shot_oracle
 
 NOISE = 1.0
 
@@ -291,3 +305,188 @@ class TestBlockEnumeration:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024
+
+
+def count_batches(monkeypatch) -> list:
+    """Count the batch ``Links.capacities`` calls, one per evaluated block, from now on."""
+    calls = []
+    capacities = Links.capacities
+
+    def counted(self, powers_mw, out=None):
+        if powers_mw.ndim == 2:
+            calls.append(len(powers_mw))
+        return capacities(self, powers_mw, out)
+
+    monkeypatch.setattr(Links, "capacities", counted)
+    return calls
+
+
+def within(values, bounds):
+    """Each value is at or below its bound, or the bound is +inf (NaN values only then)."""
+    return bool(np.all((values <= bounds) | (bounds == np.inf)))
+
+
+class TestBlockBounds:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        m=st.integers(2, 4),
+        n=st.integers(2, 5),
+        data=st.data(),
+    )
+    def test_every_capacity_in_a_block_is_at_most_its_bound(self, m, n, data):
+        # gains over 15 decades and noise down to 1e-15 mW, with strong
+        # serving links: a user's own signal often outweighs the rest it
+        # receives by more than the kernel's subtraction of it resolves
+        gains = 10.0 ** data.draw(arrays(float, (m + 1, m + 1), elements=st.floats(-15.0, 0.0)))
+        gains[1:, 1:][np.diag_indices(m)] = 10.0 ** data.draw(
+            arrays(float, m, elements=st.floats(-3.0, 0.0))
+        )
+        low = data.draw(st.floats(-40.0, 20.0))
+        levels = ActionSet(low, low + data.draw(st.floats(0.01, 40.0)), n).levels_mw
+        p_bs_mw = 10.0 ** data.draw(st.floats(-6.0, 4.0))
+        noise_mw = 10.0 ** data.draw(st.floats(-15.0, 0.0))
+
+        digits = np.indices((n,) * m).reshape(m, -1).T
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c_mue, c_fue = Links(gains, p_bs_mw, noise_mw).capacities(levels[digits])
+            sums = _row_sums(c_fue)
+        for p in range(m):
+            prefixes, station, macro = _block_bounds(gains, levels, p, p_bs_mw, noise_mw)
+            block = np.arange(n**m) // n ** (m - p)
+            assert np.array_equal(prefixes[block], levels[digits[:, :p]])
+            assert within(c_fue.T, station[block])
+            assert within(sums, station.sum(axis=1)[block])
+            assert within(c_mue, macro[block])
+
+    def test_bound_holds_where_the_kernel_cancels(self):
+        # the first femto user hears its own 1-2 mW at gain 1, 1.5e-16 mW of
+        # interference and nothing else: the kernel adds the signal and the
+        # interference, then subtracts the signal, and loses the interference
+        levels = ActionSet(0.0, 10.0 * math.log10(2.0), 2).levels_mw
+        gains = np.array([[1.0, 1e-30, 1e-30], [1e-30, 1.0, 1.5e-16], [1e-30, 1.5e-16, 1.0]])
+        digits = np.indices((2, 2)).reshape(2, -1).T
+        with np.errstate(divide="ignore"):
+            _, c_fue = Links(gains, 1e-15, 1e-30).capacities(levels[digits])
+        assert c_fue[0, 2] > capacity_bps_hz(levels[1] / (levels[0] * 1.5e-16 + 1e-30))
+        for p in range(2):
+            _, station, _ = _block_bounds(gains, levels, p, 1e-15, 1e-30)
+            assert within(c_fue.T, station[np.arange(4) // 2 ** (2 - p)])
+
+
+class TestPruning:
+    # 40^2 <= _CHUNK < 40^3: one block per level of the first station
+    def test_optimum_in_the_first_block(self, monkeypatch):
+        # station 0 serves its own user badly and drowns the others
+        gains = weakly_coupled(3, seed=0)
+        gains[1, 1], gains[1, 2:] = 1e-6, 1.0
+        calls = count_batches(monkeypatch)
+        result = search_and_reference(gains, ActionSet(-20.0, 25.0, 40), loose(3), p_bs_mw=10.0)
+        assert result.best_action == (0, 39, 39)
+        assert len(calls) < 40
+
+    def test_optimum_in_the_last_block(self, monkeypatch):
+        calls = count_batches(monkeypatch)
+        result = search_and_reference(
+            weakly_coupled(3, seed=0), ActionSet(-20.0, 25.0, 40), loose(3), p_bs_mw=10.0
+        )
+        assert result.best_action == (39, 39, 39)
+        assert len(calls) < 40
+
+    @pytest.mark.parametrize("mue", [1e-9, 1e6], ids=["feasible", "infeasible"])
+    def test_a_tie_in_a_block_whose_bound_equals_the_incumbent(self, monkeypatch, mue):
+        # symmetric unit gains, as in the tie test above; the block holding
+        # the smallest tied action gets a bound equal to its best sum, so it
+        # is visited after later tied blocks, whose bounds are above it, and
+        # only a search that still visits a bound equal to the incumbent finds it
+        gains = np.ones((5, 5))
+        actions = ActionSet(-20.0, 25.0, 15)
+        thresholds = QosThresholds(mue=mue, fue=(0.0,) * 4)
+        digits = np.indices((15,) * 4).reshape(4, -1).T
+        _, c_fue = batch_capacities(gains, 1.0, NOISE, actions.levels_mw[digits])
+        sums = c_fue.sum(axis=1)
+        first = int(np.argmax(sums)) // 15**3
+        assert np.any(sums[(first + 1) * 15**3 :] == sums.max())
+
+        def tight(*args):
+            prefixes, station, macro = _block_bounds(*args)
+            station[first] = (sums.max(), 0.0, 0.0, 0.0)
+            return prefixes, station, macro
+
+        monkeypatch.setattr(oracle, "_block_bounds", tight)
+        result = search_and_reference(gains, actions, thresholds, p_bs_mw=1.0)
+        assert result.best_action[0] == first
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_thresholds_at_an_action_s_capacities(self, seed):
+        # every threshold exactly at what one action reaches: that action is
+        # feasible, and no bound may fall below it
+        gains = random_gain_matrix(4, seed=seed)
+        actions = ActionSet(-20.0, 25.0, 14)
+        digits = np.indices((14,) * 4).reshape(4, -1).T
+        c_mue, c_fue = batch_capacities(gains, 10.0, NOISE, actions.levels_mw[digits])
+        row = int(np.random.default_rng(seed).integers(14**4))
+        thresholds = QosThresholds(mue=float(c_mue[row]), fue=tuple(c_fue[row].tolist()))
+        assert search_and_reference(gains, actions, thresholds, p_bs_mw=10.0).feasible
+
+    def test_oracle_m5_scenario_evaluates_a_quarter_of_the_blocks(self, monkeypatch):
+        # the benchmark's 25^5-action scenario: 625 blocks of 25^3 actions
+        sim = Simulation(ScenarioConfig(m_max=5, n_power=25))
+        calls = count_batches(monkeypatch)
+        result = exhaustive_search(
+            sim.gains, sim.actions, sim.thresholds, p_bs_mw=sim.p_bs_mw, noise_mw=sim.noise_mw
+        )
+        assert result.feasible and result.n_enumerated == 25**5
+        assert set(calls) == {25**3}
+        assert len(calls) <= 625 // 4
+
+
+def loose(m):
+    return QosThresholds(mue=1e-9, fue=(1e-9,) * m)
+
+
+def weakly_coupled(m, seed):
+    """``random_gain_matrix`` with every link between femto stations 1000 times weaker."""
+    gains = random_gain_matrix(m, seed)
+    gains[1:, 1:] *= np.where(np.eye(m, dtype=bool), 1.0, 1e-3)
+    return gains
+
+
+def first_admitted(config: ScenarioConfig, k: int) -> ScenarioConfig:
+    """The config's layout cut down to its first k admitted stations."""
+    sim = Simulation(config)
+    topology, admitted = sim.topology, sim.admission_order[:k]
+    sub = Topology(
+        mbs=topology.mbs,
+        mue=topology.mue,
+        fbs=tuple(topology.fbs[i] for i in admitted),
+        fue=tuple(topology.fue[i] for i in admitted),
+    )
+    return with_pinned_layout(config, sub)
+
+
+def assert_matches_block_reference(config: ScenarioConfig):
+    sim = Simulation(config)
+    args = (sim.gains, sim.actions, sim.thresholds)
+    kwargs = dict(p_bs_mw=sim.p_bs_mw, noise_mw=sim.noise_mw)
+    result = exhaustive_search(*args, **kwargs)
+    assert repr(result) == repr(block_oracle(*args, **kwargs))
+    return result
+
+
+@pytest.mark.slow
+class TestBlockReference:
+    """The pruned search against every block evaluated, on the benchmark's scenarios."""
+
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_five_stations_25_levels(self, seed):
+        assert_matches_block_reference(ScenarioConfig(seed=seed, m_max=5, n_power=25))
+
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_first_four_of_the_default_layout(self, seed):
+        assert_matches_block_reference(first_admitted(ScenarioConfig(seed=seed), 4))
+
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_layouts_without_a_feasible_action(self, seed):
+        # at m_max=8, station 4 sits 1.2 m from the macro user
+        config = first_admitted(ScenarioConfig(seed=seed, m_max=8, n_power=25), 5)
+        assert not assert_matches_block_reference(config).feasible
