@@ -16,7 +16,6 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Sequence
 
 import numpy as np
 
@@ -138,70 +137,118 @@ def check_constraints(
     )
 
 
-class SharingGroups:
-    """The agents of one density step that average their Q-rows, as index arrays.
+_DRAW_BLOCK = 512  # exploring iterations drawn per agent at a time
 
-    Agents in the same ring state form a group; singletons are left out.
-    The groups are padded into a ``(G, k_max)`` index array whose spare
-    slots point at row ``m`` of the Q buffer, which stays zero. So one
-    gather, ``sum(axis=1)`` and a division by the group sizes give every
-    group mean. Adding a zero changes no sum, and numpy adds the gathered
-    rows in the same order as ``np.mean`` over the group's rows, so the
-    means are bit-for-bit those of the per-group ``np.mean`` oracle,
-    ``tests/reference.share_active_rows``.
+
+def explore_draws(
+    rng: np.random.Generator, epsilon: float, n: int, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` iterations of ``if rng.random() < epsilon: rng.integers(n)``, in one block.
+
+    Returns the ``(count,)`` explore flags and actions (0 where the flag is
+    off), and leaves ``rng`` exactly where the scalar calls would. Both
+    calls are fixed functions of a PCG64 generator's 64-bit words:
+    ``random()`` is ``(w >> 11) * 2**-53``, and ``integers(n)`` for
+    ``2 <= n <= 2**32`` takes a 32-bit value, the one the generator has
+    buffered or else the low half of a fresh word (buffering its high
+    half), and maps it to ``(u * n) >> 32`` by Lemire's method, drawing
+    again while ``(u * n) mod 2**32 < (2**32 - n) % n``. So the flags are
+    read from a block of raw words at once and only the explore events are
+    walked in Python; then the generator is reset, advanced by the words
+    taken and given the buffer the last draw left.
     """
+    if not 2 <= n <= 2**32:
+        raise ValueError(f"n must lie in [2, 2**32], got {n}")
+    bits = rng.bit_generator
+    start = bits.state
+    words = bits.random_raw(int(count * (1.0 + epsilon)) + 64)
+    while (walk := _walk_explores(words, epsilon, n, count, start)) is None:
+        words = np.concatenate([words, bits.random_raw(len(words))])
+    flags, actions, used, buffered = walk
+    bits.state = start
+    bits.advance(used)
+    state = bits.state
+    state["has_uint32"], state["uinteger"] = buffered
+    bits.state = state
+    return flags, actions
 
-    def __init__(self, states: Sequence[AgentState]):
-        by_state: dict[AgentState, list[int]] = {}
-        for i, state in enumerate(states):
-            by_state.setdefault(state, []).append(i)
-        groups = [v for v in by_state.values() if len(v) >= 2]
-        sizes = [len(v) for v in groups]
-        self.index = np.full((len(groups), max(sizes, default=0)), len(states), dtype=np.intp)
-        for g, members in enumerate(groups):
-            self.index[g, : len(members)] = members
-        self.counts = np.array(sizes, dtype=float)[:, None]
-        self.members = np.array([i for v in groups for i in v], dtype=np.intp)
-        self.member_group = np.repeat(np.arange(len(groups)), sizes)
 
-    def __len__(self) -> int:
-        return len(self.counts)
+def _walk_explores(words, epsilon, n, count, state):
+    """The flags, the actions, the words used and the 32-bit buffer left after ``count`` draws.
 
-    def share(self, buf: np.ndarray) -> np.ndarray:
-        """Set each member's row of ``buf`` to its group mean; return the new member rows.
-
-        ``buf`` holds one row per agent plus a trailing zero row.
-        """
-        means = buf[self.index].sum(axis=1) / self.counts
-        shared = means[self.member_group]
-        buf[self.members] = shared
-        return shared
+    None when ``words`` runs out first.
+    """
+    # for an integer x, x * 2**-53 < epsilon exactly when x < ceil(epsilon * 2**53)
+    flagged = np.flatnonzero(words >> 11 < math.ceil(epsilon * 2.0**53)).tolist()
+    threshold = (2**32 - n) % n
+    has_uint32, uinteger = state["has_uint32"], state["uinteger"]
+    flags = np.zeros(count, dtype=bool)
+    actions = np.zeros(count, dtype=np.intp)
+    t = p = 0  # iteration t reads its flag from word p
+    for q in flagged:
+        if q < p:  # a word already taken for an action
+            continue
+        if t + q - p >= count:
+            break
+        t += q - p
+        p = q + 1
+        while True:
+            if has_uint32:
+                u, has_uint32 = uinteger, 0
+            elif p < len(words):
+                w = int(words[p])
+                p += 1
+                u, uinteger, has_uint32 = w & 0xFFFFFFFF, w >> 32, 1
+            else:
+                return None
+            product = u * n
+            if product & 0xFFFFFFFF >= threshold:
+                break
+        flags[t], actions[t] = True, product >> 32
+        t += 1
+    used = p + count - t  # the rest of the iterations draw their flags only
+    if used > len(words):
+        return None
+    return flags, actions, used, (has_uint32, uinteger)
 
 
 class DensityStep:
     """Learning loop for one fixed set of active agents.
 
-    The agents' rows of ``Simulation.q`` are gathered into an
-    ``(m + 1, n_power)`` buffer whose last row stays zero (the padding
-    target of ``SharingGroups``); ``_qmat`` is a view of its first ``m``
-    rows. ``run`` scatters them back into ``Simulation.q`` when the step
-    finishes; ``step`` alone leaves ``Simulation.q`` untouched.
+    The agents' rows of ``Simulation.q`` are copied into a buffer laid out
+    for sharing. Agents in the same ring state form a sharing group when
+    ``sharing`` is on; group g owns rows ``[g * k, (g + 1) * k)``, k the
+    largest group size: its members in agent order, then rows that stay
+    zero. Agents in no group follow, in agent order. ``_row[i]`` is agent
+    i's buffer row, and ``q`` returns the rows in agent order. ``run``
+    writes them back into ``Simulation.q`` when the step finishes; ``step``
+    alone leaves ``Simulation.q`` untouched.
 
     Each iteration takes one ``argmax`` per row: it is the greedy action
     and, read before the update, its entry is the row maximum of the TD
     target. On iterations below the exploration horizon (``explore_until``)
-    the agents then draw from their own generators, in agent order. After
-    the update, each sharing group's rows are replaced by their mean (see
-    ``SharingGroups``).
+    each agent explores with probability epsilon, drawing from its own
+    generator: ``rng.random() < epsilon``, then ``rng.integers(n_power)``.
+    The draws come ``_DRAW_BLOCK`` exploring iterations at a time from
+    ``explore_draws``, with the same values and the same generator states
+    as those calls made one iteration at a time. ``run`` leaves every
+    generator where the per-iteration calls would; a bare ``step`` may leave
+    it up to one block ahead.
+
+    After the update, each group's rows are replaced by their mean: the
+    sum over the group's ``k`` rows, padding included, over its size. That
+    is ``np.mean`` over the members' rows (``tests/reference.share_active_rows``)
+    except that a column which is -0.0 in every member comes out +0.0.
 
     The per-iteration Q-delta is the largest absolute entry change across
     the whole iteration (update plus sharing), which is what the
-    convergence detector consumes. A row outside a sharing group changes
-    only at its updated entry, so only group rows are compared in full.
-    The gathered rows must be finite, or the constructor raises
-    ``FloatingPointError``. A finite entry can only turn NaN or infinite
-    through a non-finite change, so ``step`` checks the rows when the delta
-    is not finite and raises on the iteration an entry turns.
+    convergence detector consumes. With groups the whole buffer is compared
+    with a copy taken before the update; without, a row changes only at its
+    updated entry, so only those entries are compared. The gathered
+    rows must be finite, or the constructor raises ``FloatingPointError``.
+    A finite entry can only turn NaN or infinite through a non-finite
+    change, so ``step`` checks the rows when the delta is not finite and
+    raises on the iteration an entry turns.
 
     The delta stays at the size of the exploration noise until the horizon,
     so ``iterations_to_converge`` comes out near ``explore_until + window``
@@ -222,56 +269,105 @@ class DensityStep:
         self._capacities = Links(sim.gains, sim.p_bs_mw, sim.noise_mw, ids=self._ids).capacities
         self._proximity = np.array([a.proximity for a in agents])
         self._fue_thresholds = np.array([a.fue_threshold for a in agents])
-        n_actions = len(sim.actions)
-        self._buf = np.zeros((m + 1, n_actions))
-        self._buf[:m] = sim.q[self._ids]
-        self._qmat = self._buf[:m]
-        self._check_finite(0)
-        self._flat = self._qmat.reshape(-1)  # a view: the rows are contiguous
-        self._row_start = np.arange(m) * n_actions
-        self._groups = SharingGroups([a.state for a in agents] if sharing else [])
-        self._draws = [(a.rng.random, a.rng.integers) for a in agents]
         config = sim.config
+        self._reward_fn, self._q_mue = sim.reward_fn, sim.thresholds.mue
+        self._levels_mw = sim.actions.levels_mw
+        self._alpha, self._keep, self._gamma = config.alpha, 1.0 - config.alpha, config.gamma
+        self._epsilon = config.epsilon
         self._explore_until = explore_until(
             config.epsilon, config.explore_fraction, config.max_iterations
         )
+
+        by_state: dict[AgentState, list[int]] = {}
+        for i, a in enumerate(agents):
+            by_state.setdefault(a.state, []).append(i)
+        groups = [v for v in by_state.values() if len(v) >= 2] if sharing else []
+        k = max(map(len, groups), default=0)
+        grouped_rows = len(groups) * k
+        singles = sorted(set(range(m)).difference(*groups))
+        self._row = np.empty(m, dtype=np.intp)
+        for g, members in enumerate(groups):
+            self._row[members] = g * k + np.arange(len(members))
+        self._row[singles] = grouped_rows + np.arange(len(singles))
+        self._shared = bool(groups)
+        self._n_actions = n_actions = len(sim.actions)
+        self._buf = np.zeros((grouped_rows + len(singles), n_actions))
+        self._buf[self._row] = sim.q[self._ids]
+        self._check_finite(0)
+        self._flat = self._buf.reshape(-1)  # a view: the buffer is contiguous
+        self._row_start = self._row * n_actions
+        self._groups = self._buf[:grouped_rows].reshape(len(groups), k, n_actions)
+        self._counts = np.array([len(v) for v in groups], dtype=float)[:, None]
+        self._slots = (np.arange(k) < self._counts)[:, :, None]
+
+        self._rngs = [a.rng for a in agents]
+        self._block_states: list[dict] = []
+        self._flags = np.zeros((0, m), dtype=bool)
+        self._draws = np.zeros((0, m), dtype=np.intp)
+        self._drawn = 0
+
+    @property
+    def q(self) -> np.ndarray:
+        """The agents' Q-rows in agent order, as an ``(m, n_power)`` copy."""
+        return self._buf[self._row]
 
     def step(self, iteration: int) -> tuple[np.ndarray, float, np.ndarray, np.ndarray, float]:
         """Run one synchronous iteration: select, evaluate, reward, update, share.
 
         Returns the iteration's ``actions, c_mue, c_fue, rewards, delta``.
         """
-        sim = self._sim
-        config = sim.config
-        qmat, flat, groups = self._qmat, self._flat, self._groups
+        buf, flat = self._buf, self._flat
 
-        actions = qmat.argmax(axis=1)
+        actions = buf.argmax(axis=1)
+        if self._shared:
+            actions = actions[self._row]
         row_max = flat[self._row_start + actions]
         if iteration < self._explore_until:
-            eps, n_actions = config.epsilon, qmat.shape[1]
-            for i, (random, integers) in enumerate(self._draws):
-                if random() < eps:
-                    actions[i] = integers(n_actions)
+            if self._drawn == len(self._flags):
+                self._draw_block(iteration)
+            t = self._drawn
+            self._drawn = t + 1
+            np.copyto(actions, self._draws[t], where=self._flags[t])
 
-        c_mue, c_fue = self._capacities(sim.actions.levels_mw[actions])
-        rewards = sim.reward_fn(
-            c_fue, c_mue, self._proximity, self._fue_thresholds, sim.thresholds.mue
-        )
+        c_mue, c_fue = self._capacities(self._levels_mw[actions])
+        rewards = self._reward_fn(c_fue, c_mue, self._proximity, self._fue_thresholds, self._q_mue)
 
         pos = self._row_start + actions
         old = flat[pos]
-        new = (1.0 - config.alpha) * old + config.alpha * (rewards + config.gamma * row_max)
-        change = np.abs(new - old)  # a row outside a sharing group changes only here
-        if len(groups):
-            before = qmat[groups.members]
+        new = self._keep * old + self._alpha * (rewards + self._gamma * row_max)
+        if self._shared:
+            before = buf.copy()
             flat[pos] = new
-            change[groups.members] = np.abs(groups.share(self._buf) - before).max(axis=1)
+            groups = self._groups
+            np.copyto(groups, (groups.sum(axis=1) / self._counts)[:, None], where=self._slots)
+            np.subtract(buf, before, out=before)
+            delta = float(np.abs(before, out=before).max())
         else:
+            change = np.abs(new - old)
             flat[pos] = new
-        delta = float(change.max())
+            delta = float(change.max())
         if not math.isfinite(delta):
             self._check_finite(iteration + 1)
         return actions, c_mue, c_fue, rewards, delta
+
+    def _draw_block(self, iteration: int) -> None:
+        """Draw every agent's explore flags and actions up to a block ahead of ``iteration``."""
+        count = min(_DRAW_BLOCK, self._explore_until - iteration)
+        self._block_states = [rng.bit_generator.state for rng in self._rngs]
+        self._flags = np.empty((count, self.m), dtype=bool)
+        self._draws = np.empty((count, self.m), dtype=np.intp)
+        for i, rng in enumerate(self._rngs):
+            self._flags[:, i], self._draws[:, i] = explore_draws(
+                rng, self._epsilon, self._n_actions, count
+            )
+        self._drawn = 0
+
+    def _rewind(self) -> None:
+        """Put every generator where the per-iteration draws so far would leave it."""
+        if self._drawn < len(self._flags):
+            for rng, state in zip(self._rngs, self._block_states):
+                rng.bit_generator.state = state
+                explore_draws(rng, self._epsilon, self._n_actions, self._drawn)
 
     def run(self) -> tuple[DensitySummary, np.recarray]:
         """Iterate to convergence or the budget, then write back and summarize.
@@ -294,11 +390,12 @@ class DensityStep:
                 k += 1
             if converged:
                 break
-        sim.q[self._ids] = self._qmat
+        self._rewind()
+        sim.q[self._ids] = self.q
         return self._summary(iteration + 1, converged), t[:k].copy()
 
     def _check_finite(self, iterations: int) -> None:
-        bad = ~np.isfinite(self._qmat).all(axis=1)
+        bad = ~np.isfinite(self.q).all(axis=1)
         if bad.any():
             agent_id = self._agent_ids[int(bad.argmax())]
             raise FloatingPointError(
@@ -308,7 +405,7 @@ class DensityStep:
 
     def _summary(self, iterations: int, converged: bool) -> DensitySummary:
         sim = self._sim
-        actions = self._qmat.argmax(axis=1)
+        actions = self.q.argmax(axis=1)
         powers_mw = sim.actions.levels_mw[actions]
         c_mue, c_fue = self._capacities(powers_mw)
         return DensitySummary(

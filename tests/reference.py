@@ -15,6 +15,7 @@ import numpy as np
 
 from femtoq.channel import ActionSet, Links, _check_powers, evaluate_capacities
 from femtoq.cli import DENSITY_COLUMNS
+from femtoq.coordinator import Agent, DensitySummary, explore_until, jain_index, trace_block
 from femtoq.oracle import _CHUNK, OracleResult, _row_sums
 from femtoq.reward import QosThresholds
 from femtoq.topology import AgentState, Position, Topology, distance
@@ -177,9 +178,18 @@ def select_action(qrow: np.ndarray, eps: float, rng: np.random.Generator) -> int
         raise ValueError("empty Q-row")
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"epsilon must be in [0, 1], got {eps}")
-    if eps > 0.0 and rng.random() < eps:
-        return int(rng.integers(len(qrow)))
+    if eps > 0.0:
+        action = explore_action(eps, len(qrow), rng)
+        if action is not None:
+            return action
     return int(np.argmax(qrow))
+
+
+def explore_action(eps: float, n: int, rng: np.random.Generator) -> int | None:
+    """``select_action``'s draws: one of ``n`` actions with probability ``eps``, else None."""
+    if rng.random() < eps:
+        return int(rng.integers(n))
+    return None
 
 
 def q_update(row: np.ndarray, action: int, reward: float, alpha: float, gamma: float) -> float:
@@ -221,6 +231,199 @@ def detect_convergence(recent_deltas: Sequence[float], window: int, tolerance: f
         return False
     tail = recent_deltas[-window:]
     return max(tail) < tolerance
+
+
+# -- density step --------------------------------------------------------
+
+
+class SharingGroups:
+    """The agents of one density step that average their Q-rows, as index arrays.
+
+    Agents in the same ring state form a group; singletons are left out.
+    The groups are padded into a ``(G, k_max)`` index array whose spare
+    slots point at row ``m`` of the Q buffer, which stays zero. So one
+    gather, ``sum(axis=1)`` and a division by the group sizes give every
+    group mean. numpy adds the gathered rows in the same order as
+    ``np.mean`` over the group's rows, and adding +0.0 changes no sum but
+    -0.0, so the means are those of ``share_active_rows`` except that a
+    column which is -0.0 in every member comes out +0.0.
+    """
+
+    def __init__(self, states: Sequence[AgentState]):
+        by_state: dict[AgentState, list[int]] = {}
+        for i, state in enumerate(states):
+            by_state.setdefault(state, []).append(i)
+        groups = [v for v in by_state.values() if len(v) >= 2]
+        sizes = [len(v) for v in groups]
+        self.index = np.full((len(groups), max(sizes, default=0)), len(states), dtype=np.intp)
+        for g, members in enumerate(groups):
+            self.index[g, : len(members)] = members
+        self.counts = np.array(sizes, dtype=float)[:, None]
+        self.members = np.array([i for v in groups for i in v], dtype=np.intp)
+        self.member_group = np.repeat(np.arange(len(groups)), sizes)
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def share(self, buf: np.ndarray) -> np.ndarray:
+        """Set each member's row of ``buf`` to its group mean; return the new member rows.
+
+        ``buf`` holds one row per agent plus a trailing zero row.
+        """
+        means = buf[self.index].sum(axis=1) / self.counts
+        shared = means[self.member_group]
+        buf[self.members] = shared
+        return shared
+
+
+class LoopDensityStep:
+    """``coordinator.DensityStep`` drawing per iteration and sharing by a padded gather.
+
+    The learning loop before block draws and the grouped buffer layout,
+    kept as the oracle those must equal bit for bit.
+
+    The agents' rows of ``Simulation.q`` are gathered into an
+    ``(m + 1, n_power)`` buffer whose last row stays zero (the padding
+    target of ``SharingGroups``); ``_qmat`` is a view of its first ``m``
+    rows. ``run`` scatters them back into ``Simulation.q`` when the step
+    finishes; ``step`` alone leaves ``Simulation.q`` untouched.
+
+    Each iteration takes one ``argmax`` per row: it is the greedy action
+    and, read before the update, its entry is the row maximum of the TD
+    target. On iterations below the exploration horizon (``explore_until``)
+    the agents then draw from their own generators, in agent order. After
+    the update, each sharing group's rows are replaced by their mean (see
+    ``SharingGroups``).
+
+    The per-iteration Q-delta is the largest absolute entry change across
+    the whole iteration (update plus sharing), which is what the
+    convergence detector consumes. A row outside a sharing group changes
+    only at its updated entry, so only group rows are compared in full.
+    The gathered rows must be finite, or the constructor raises
+    ``FloatingPointError``. A finite entry can only turn NaN or infinite
+    through a non-finite change, so ``step`` checks the rows when the delta
+    is not finite and raises on the iteration an entry turns.
+
+    The delta stays at the size of the exploration noise until the horizon,
+    so ``iterations_to_converge`` comes out near ``explore_until + window``
+    for every non-trivial step: it measures the schedule, not how fast
+    learning settled.
+
+    ``step`` writes no trace and counts nothing; it returns the iteration's
+    ``actions, c_mue, c_fue, rewards, delta``. ``run`` counts consecutive
+    deltas below the tolerance and writes each kept iteration as one row of
+    a ``trace_block``.
+    """
+
+    def __init__(self, sim: "Simulation", agents: list[Agent], *, sharing: bool):
+        self._sim = sim
+        self._agent_ids = tuple(a.agent_id for a in agents)
+        self.m = m = len(agents)
+        self._ids = np.array(self._agent_ids, dtype=np.intp)
+        self._capacities = Links(sim.gains, sim.p_bs_mw, sim.noise_mw, ids=self._ids).capacities
+        self._proximity = np.array([a.proximity for a in agents])
+        self._fue_thresholds = np.array([a.fue_threshold for a in agents])
+        n_actions = len(sim.actions)
+        self._buf = np.zeros((m + 1, n_actions))
+        self._buf[:m] = sim.q[self._ids]
+        self._qmat = self._buf[:m]
+        self._check_finite(0)
+        self._flat = self._qmat.reshape(-1)  # a view: the rows are contiguous
+        self._row_start = np.arange(m) * n_actions
+        self._groups = SharingGroups([a.state for a in agents] if sharing else [])
+        self._draws = [(a.rng.random, a.rng.integers) for a in agents]
+        config = sim.config
+        self._explore_until = explore_until(
+            config.epsilon, config.explore_fraction, config.max_iterations
+        )
+
+    def step(self, iteration: int) -> tuple[np.ndarray, float, np.ndarray, np.ndarray, float]:
+        """Run one synchronous iteration: select, evaluate, reward, update, share.
+
+        Returns the iteration's ``actions, c_mue, c_fue, rewards, delta``.
+        """
+        sim = self._sim
+        config = sim.config
+        qmat, flat, groups = self._qmat, self._flat, self._groups
+
+        actions = qmat.argmax(axis=1)
+        row_max = flat[self._row_start + actions]
+        if iteration < self._explore_until:
+            eps, n_actions = config.epsilon, qmat.shape[1]
+            for i, (random, integers) in enumerate(self._draws):
+                if random() < eps:
+                    actions[i] = integers(n_actions)
+
+        c_mue, c_fue = self._capacities(sim.actions.levels_mw[actions])
+        rewards = sim.reward_fn(
+            c_fue, c_mue, self._proximity, self._fue_thresholds, sim.thresholds.mue
+        )
+
+        pos = self._row_start + actions
+        old = flat[pos]
+        new = (1.0 - config.alpha) * old + config.alpha * (rewards + config.gamma * row_max)
+        change = np.abs(new - old)  # a row outside a sharing group changes only here
+        if len(groups):
+            before = qmat[groups.members]
+            flat[pos] = new
+            change[groups.members] = np.abs(groups.share(self._buf) - before).max(axis=1)
+        else:
+            flat[pos] = new
+        delta = float(change.max())
+        if not math.isfinite(delta):
+            self._check_finite(iteration + 1)
+        return actions, c_mue, c_fue, rewards, delta
+
+    def run(self) -> tuple[DensitySummary, np.recarray]:
+        """Iterate to convergence or the budget, then write back and summarize.
+
+        Of k iterations, 0, s, 2s, ... below k (``trace_stride`` s) and k - 1
+        are kept: at most ceil(max_iterations / s) + 1 rows, returned as a copy.
+        """
+        sim, config = self._sim, self._sim.config
+        stride, window = config.trace_stride, config.convergence_window
+        tolerance = config.convergence_tolerance
+        last = config.max_iterations - 1
+        t = trace_block(self.m, -(-config.max_iterations // stride) + 1)
+        step, k, streak = self.step, 0, 0
+        for iteration in range(last + 1):
+            actions, c_mue, c_fue, rewards, delta = step(iteration)
+            streak = streak + 1 if delta < tolerance else 0
+            converged = streak >= window
+            if iteration % stride == 0 or converged or iteration == last:
+                t[k] = iteration, actions, c_mue, c_fue, rewards, delta
+                k += 1
+            if converged:
+                break
+        sim.q[self._ids] = self._qmat
+        return self._summary(iteration + 1, converged), t[:k].copy()
+
+    def _check_finite(self, iterations: int) -> None:
+        bad = ~np.isfinite(self._qmat).all(axis=1)
+        if bad.any():
+            agent_id = self._agent_ids[int(bad.argmax())]
+            raise FloatingPointError(
+                f"agent {agent_id} has a non-finite Q-value at density m={self.m} "
+                f"after {iterations} iterations"
+            )
+
+    def _summary(self, iterations: int, converged: bool) -> DensitySummary:
+        sim = self._sim
+        actions = self._qmat.argmax(axis=1)
+        powers_mw = sim.actions.levels_mw[actions]
+        c_mue, c_fue = self._capacities(powers_mw)
+        return DensitySummary(
+            m=self.m,
+            agent_ids=self._agent_ids,
+            powers_dbm=tuple(float(sim.actions.levels_dbm[a]) for a in actions),
+            c_mue_final=c_mue,
+            fue_capacities=tuple(float(c) for c in c_fue),
+            min_fue_capacity=float(c_fue.min()),
+            sum_capacity=float(c_fue.sum()),
+            jain=jain_index(c_fue),
+            iterations_to_converge=iterations,
+            converged=converged,
+        )
 
 
 # -- reward --------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Tests for the simulation loop, row sharing, convergence, and metrics."""
 
+import copy
+from dataclasses import replace
+from functools import cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,13 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from femtoq import coordinator
 from femtoq.channel import dbm_to_mw
 from femtoq.cli import write_run_artifacts
 from femtoq.config import ScenarioConfig
 from femtoq.coordinator import (
     DensityStep,
     DensitySummary,
-    SharingGroups,
     Simulation,
     check_constraints,
     jain_index,
@@ -21,6 +24,7 @@ from femtoq.coordinator import (
 from femtoq.reward import QosThresholds
 from femtoq.topology import AgentState
 from reference import (
+    LoopDensityStep,
     capacity_bps_hz,
     detect_convergence,
     fue_sinr,
@@ -123,36 +127,53 @@ class TestShareActiveRows:
             share_active_rows([np.zeros(2)], [])
 
 
+@cache
+def sharing_sim(n_power: int) -> Simulation:
+    # alpha = 0 leaves every updated entry as it was, so only sharing moves a row
+    return Simulation(tiny_config(m_max=42, n_power=n_power, alpha=0.0))
+
+
 class TestSharingGroups:
     @given(
         sizes=st.lists(st.integers(min_value=1, max_value=7), min_size=1, max_size=6),
-        n=st.integers(min_value=1, max_value=9),
+        n=st.integers(min_value=2, max_value=9),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     @settings(max_examples=200, deadline=None)
-    def test_padded_gather_equals_np_mean(self, sizes, n, seed):
+    def test_group_means_equal_np_mean(self, sizes, n, seed):
         # group g has sizes[g] members (size 1 is a singleton), shuffled
         rng = np.random.default_rng(seed)
         states = [AgentState(g, 0) for g, k in enumerate(sizes) for _ in range(k)]
         states = [states[i] for i in rng.permutation(len(states))]
         rows = rng.normal(scale=rng.choice([1e-3, 1.0, 1e6]), size=(len(states), n))
+        sim = copy.copy(sharing_sim(n))  # with its own Q matrix
+        sim.q = np.zeros_like(sim.q)
+        sim.q[: len(states)] = rows
+        agents = [replace(a, state=state) for a, state in zip(sim.agents, states)]
 
         expected = [r.copy() for r in rows]
         share_active_rows(expected, states)
-        groups = SharingGroups(states)
-        buf = np.zeros((len(states) + 1, n))
-        buf[:-1] = rows
-        shared = groups.share(buf)
+        step = DensityStep(sim, agents, sharing=True)
+        step.step(step._explore_until)  # a greedy iteration draws nothing
 
-        assert np.array_equal(buf[:-1], np.array(expected))
-        assert np.array_equal(buf[-1], np.zeros(n))
-        assert np.array_equal(shared, buf[groups.members])
+        assert np.array_equal(step.q, np.array(expected))
+        singles = [i for i, state in enumerate(states) if states.count(state) == 1]
+        assert np.array_equal(step.q[singles], rows[singles])
+        padding = np.setdiff1d(np.arange(len(step._buf)), step._row)
+        assert not step._buf[padding].any()
 
-    def test_singletons_form_no_group(self):
-        groups = SharingGroups([AgentState(0, 0), AgentState(1, 0), AgentState(0, 0)])
-        assert len(groups) == 1
-        assert groups.members.tolist() == [0, 2]
-        assert groups.index.tolist() == [[0, 2]]
+    def test_buffer_holds_padded_groups_then_singletons(self):
+        sim = Simulation(tiny_config(m_max=6, seed_agents=6))
+        a, b, c = AgentState(0, 0), AgentState(1, 0), AgentState(2, 0)
+        agents = [replace(x, state=s) for x, s in zip(sim.agents, [a, b, a, c, b, a])]
+        step = DensityStep(sim, agents, sharing=True)
+        # a's three members, b's two and a zero row, then the singleton c
+        assert step._row.tolist() == [0, 3, 1, 6, 4, 2]
+        assert step._buf.shape == (7, sim.config.n_power)
+        assert step._counts.ravel().tolist() == [3.0, 2.0]
+        step = DensityStep(sim, agents, sharing=False)
+        assert step._row.tolist() == list(range(6))
+        assert step._buf.shape == (6, sim.config.n_power)
 
 
 class TestDetectConvergence:
@@ -211,12 +232,12 @@ class TestDensityStep:
         sim = Simulation(config)
         sim.q[:] = np.random.default_rng(0).normal(size=sim.q.shape)
         step = DensityStep(sim, list(sim.agents), sharing=False)
-        before = step._qmat.copy()
+        before = step.q
         record = step_row(step, 0)
         for i, (action, reward) in enumerate(zip(record.actions, record.rewards)):
             row = before[i].copy()
             q_update(row, action, reward, config.alpha, config.gamma)
-            assert np.array_equal(step._qmat[i], row)
+            assert np.array_equal(step.q[i], row)
 
     def test_run_writes_rows_back(self):
         config = tiny_config(m_max=3, seed_agents=3)
@@ -224,16 +245,16 @@ class TestDensityStep:
         assert sim.q.shape == (3, config.n_power) and not sim.q.any()
         step = DensityStep(sim, [sim.agents[2], sim.agents[0]], sharing=False)
         step.run()
-        assert np.array_equal(sim.q[[2, 0]], step._qmat)
+        assert np.array_equal(sim.q[[2, 0]], step.q)
         assert not sim.q[1].any()
 
     def test_one_update_per_agent_per_step(self):
         config = tiny_config(m_max=3, seed_agents=3)
         sim = Simulation(config)
         step = DensityStep(sim, list(sim.agents), sharing=False)
-        before = step._qmat.copy()
+        before = step.q
         step.step(0)
-        changed_per_agent = (step._qmat != before).sum(axis=1)
+        changed_per_agent = (step.q != before).sum(axis=1)
         assert np.all(changed_per_agent == 1)
 
     def test_capacities_match_recomputation_from_powers(self):
@@ -255,11 +276,11 @@ class TestDensityStep:
         config = tiny_config(m_max=6, seed_agents=1, seed=3, trace_stride=1)
         sim = Simulation(config)
         step = DensityStep(sim, list(sim.agents), sharing=sharing)
-        assert len(step._groups) == (2 if sharing else 0)
+        assert len(step._counts) == (2 if sharing else 0)
         for it in range(30):
-            before = step._qmat.copy()
+            before = step.q
             delta = step_row(step, it).max_q_delta
-            assert delta == float(np.abs(step._qmat - before).max())
+            assert delta == float(np.abs(step.q - before).max())
 
     def test_non_finite_row_rejected_at_construction(self):
         config = tiny_config(m_max=3, seed_agents=3, explore_fraction=0.0)
@@ -535,3 +556,41 @@ class TestConstraints:
                 p_max_dbm=config.p_max_dbm,
             )
             assert all(report.power_satisfied)
+
+
+def assert_runs_like_the_loop_reference(config, monkeypatch):
+    sim, ref = Simulation(config), Simulation(config)
+    trace = sim.run()
+    with monkeypatch.context() as patch:
+        patch.setattr(coordinator, "DensityStep", LoopDensityStep)
+        expected = ref.run()
+    assert repr(trace.summaries) == repr(expected.summaries)
+    assert trace.records.keys() == expected.records.keys()
+    for m, density in trace.records.items():
+        assert density.tobytes() == expected.records[m].tobytes(), m
+    assert sim.q.tobytes() == ref.q.tobytes()
+    states = [a.rng.bit_generator.state for a in sim.agents]
+    assert states == [a.rng.bit_generator.state for a in ref.agents]
+
+
+@pytest.mark.slow
+class TestLoopReference:
+    """Block draws and the grouped buffer against per-iteration draws and a padded gather."""
+
+    @pytest.mark.parametrize("sharing", [True, False])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_default_layout(self, seed, sharing, monkeypatch):
+        # 1,600 exploring iterations: three full blocks and one of 64
+        config = ScenarioConfig(seed=seed, sharing_enabled=sharing, max_iterations=2000)
+        assert_runs_like_the_loop_reference(config, monkeypatch)
+
+    def test_convergence_inside_a_block(self, monkeypatch):
+        # with alpha = 0 every step converges after its 50-iteration window
+        config = ScenarioConfig(alpha=0.0, max_iterations=2000, convergence_window=50)
+        assert_runs_like_the_loop_reference(config, monkeypatch)
+
+    def test_horizon_off_the_block_grid(self, monkeypatch):
+        config = ScenarioConfig(
+            seed=4, epsilon=0.5, explore_fraction=1.0, max_iterations=700, trace_stride=1
+        )
+        assert_runs_like_the_loop_reference(config, monkeypatch)

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from femtoq.channel import ActionSet
 from femtoq.config import ConfigError, ScenarioConfig
-from femtoq.coordinator import explore_until
-from reference import q_update, select_action
+from femtoq.coordinator import explore_draws, explore_until
+from reference import explore_action, q_update, select_action
 
 REL = 1e-9
 
@@ -111,6 +111,45 @@ class TestSelectAction:
         seq_a = [select_action(qrow, 0.3, rng_a) for _ in range(200)]
         seq_b = [select_action(qrow, 0.3, rng_b) for _ in range(200)]
         assert seq_a == seq_b
+
+
+class TestExploreDraws:
+    """``explore_draws`` equals ``select_action``'s scalar draws, generator state included."""
+
+    LENGTHS = (1, 2, 3, 17, 512)
+
+    @staticmethod
+    def generator(seed, buffered):
+        rng = np.random.default_rng(seed)
+        if buffered:
+            rng.integers(7)  # takes the low half of a word and buffers the high half
+        assert rng.bit_generator.state["has_uint32"] == buffered
+        return rng
+
+    # n = 3 * 2**30 rejects a quarter of the 32-bit values, so Lemire's retry runs
+    @pytest.mark.parametrize("n", [2, 31, 1000, 3 * 2**30])
+    @pytest.mark.parametrize("eps", [0.1, 0.5, 1.0])
+    def test_block_equals_scalar_draws(self, eps, n):
+        for seed in range(30):
+            for buffered in (0, 1):
+                scalar = self.generator(seed, buffered)
+                draws, states = [], {}
+                for count in self.LENGTHS:
+                    draws += [explore_action(eps, n, scalar) for _ in range(count - len(draws))]
+                    states[count] = scalar.bit_generator.state
+                for count in self.LENGTHS:
+                    rng = self.generator(seed, buffered)
+                    flags, actions = explore_draws(rng, eps, n, count)
+                    expected = draws[:count]
+                    assert flags.tolist() == [a is not None for a in expected]
+                    assert actions[flags].tolist() == [a for a in expected if a is not None]
+                    assert rng.bit_generator.state == states[count], (seed, buffered, count)
+
+    def test_out_of_range_n_rejected(self):
+        rng = np.random.default_rng(0)
+        for n in (1, 2**32 + 1):
+            with pytest.raises(ValueError, match="n must lie in"):
+                explore_draws(rng, 0.5, n, 4)
 
 
 class TestQUpdate:
