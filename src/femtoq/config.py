@@ -25,6 +25,10 @@ LAYOUT_STREAM = 0
 ADMISSION_STREAM = 1
 AGENT_STREAM = 2
 
+# the pruned oracle's bound tables grow with the cap: about 153 MiB at 10**9
+# joint actions, 6.5 GiB at 10**10, and past numpy's 64 dimensions beyond
+_ORACLE_CAP_MAX = 10**9
+
 
 class ConfigError(ValueError):
     """Raised for malformed or inconsistent scenario configuration."""
@@ -112,6 +116,10 @@ class ScenarioConfig:
         ):
             if getattr(self, name) < low:
                 raise ConfigError(f"{keys[name]} must be >= {low}, got {getattr(self, name)}")
+        if self.oracle_cap > _ORACLE_CAP_MAX:
+            raise ConfigError(
+                f"{keys['oracle_cap']} must be <= {_ORACLE_CAP_MAX}, got {self.oracle_cap}"
+            )
         for name in (
             "d_th_m",
             "pathloss_exponent",

@@ -137,9 +137,6 @@ def check_constraints(
     )
 
 
-_DRAW_BLOCK = 512  # exploring iterations drawn per agent at a time
-
-
 def explore_draws(
     rng: np.random.Generator, epsilon: float, n: int, count: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -229,11 +226,13 @@ class DensityStep:
     target. On iterations below the exploration horizon (``explore_until``)
     each agent explores with probability epsilon, drawing from its own
     generator: ``rng.random() < epsilon``, then ``rng.integers(n_power)``.
-    The draws come ``_DRAW_BLOCK`` exploring iterations at a time from
-    ``explore_draws``, with the same values and the same generator states
-    as those calls made one iteration at a time. ``run`` leaves every
-    generator where the per-iteration calls would; a bare ``step`` may leave
-    it up to one block ahead.
+    The constructor draws each agent's whole horizon with one
+    ``explore_draws`` call, which gives the values and the generator state
+    of those calls made one iteration at a time, and ``step(i)`` applies
+    row i: it is a function of the Q buffer and ``i`` alone and touches no
+    generator. A ``run`` that stops after k iterations short of the horizon
+    puts each generator back to where k per-iteration draws leave it; from
+    the horizon on, the construction's draws already left it there.
 
     After the update, each group's rows are replaced by their mean: the
     sum over the group's ``k`` rows, padding included, over its size. That
@@ -301,10 +300,14 @@ class DensityStep:
         self._slots = (np.arange(k) < self._counts)[:, :, None]
 
         self._rngs = [a.rng for a in agents]
-        self._block_states: list[dict] = []
-        self._flags = np.zeros((0, m), dtype=bool)
-        self._draws = np.zeros((0, m), dtype=np.intp)
-        self._drawn = 0
+        self._states = [rng.bit_generator.state for rng in self._rngs]
+        h = self._explore_until
+        self._flags = np.empty((h, m), dtype=bool)
+        self._draws = np.empty((h, m), dtype=np.min_scalar_type(n_actions - 1))
+        for i, rng in enumerate(self._rngs):
+            self._flags[:, i], self._draws[:, i] = explore_draws(
+                rng, self._epsilon, n_actions, h
+            )
 
     @property
     def q(self) -> np.ndarray:
@@ -323,11 +326,7 @@ class DensityStep:
             actions = actions[self._row]
         row_max = flat[self._row_start + actions]
         if iteration < self._explore_until:
-            if self._drawn == len(self._flags):
-                self._draw_block(iteration)
-            t = self._drawn
-            self._drawn = t + 1
-            np.copyto(actions, self._draws[t], where=self._flags[t])
+            np.copyto(actions, self._draws[iteration], where=self._flags[iteration])
 
         c_mue, c_fue = self._capacities(self._levels_mw[actions])
         rewards = self._reward_fn(c_fue, c_mue, self._proximity, self._fue_thresholds, self._q_mue)
@@ -350,25 +349,6 @@ class DensityStep:
             self._check_finite(iteration + 1)
         return actions, c_mue, c_fue, rewards, delta
 
-    def _draw_block(self, iteration: int) -> None:
-        """Draw every agent's explore flags and actions up to a block ahead of ``iteration``."""
-        count = min(_DRAW_BLOCK, self._explore_until - iteration)
-        self._block_states = [rng.bit_generator.state for rng in self._rngs]
-        self._flags = np.empty((count, self.m), dtype=bool)
-        self._draws = np.empty((count, self.m), dtype=np.intp)
-        for i, rng in enumerate(self._rngs):
-            self._flags[:, i], self._draws[:, i] = explore_draws(
-                rng, self._epsilon, self._n_actions, count
-            )
-        self._drawn = 0
-
-    def _rewind(self) -> None:
-        """Put every generator where the per-iteration draws so far would leave it."""
-        if self._drawn < len(self._flags):
-            for rng, state in zip(self._rngs, self._block_states):
-                rng.bit_generator.state = state
-                explore_draws(rng, self._epsilon, self._n_actions, self._drawn)
-
     def run(self) -> tuple[DensitySummary, np.recarray]:
         """Iterate to convergence or the budget, then write back and summarize.
 
@@ -390,7 +370,10 @@ class DensityStep:
                 k += 1
             if converged:
                 break
-        self._rewind()
+        if iteration + 1 < self._explore_until:
+            for rng, state in zip(self._rngs, self._states):
+                rng.bit_generator.state = state
+                explore_draws(rng, self._epsilon, self._n_actions, iteration + 1)
         sim.q[self._ids] = self.q
         return self._summary(iteration + 1, converged), t[:k].copy()
 
@@ -536,8 +519,8 @@ class Simulation:
             cooperative = m > config.seed_agents
             if cooperative:
                 self._warm_start(active[-1], active[:-1])
-            step = DensityStep(self, active, sharing=cooperative and config.sharing_enabled)
-            summary, self.trace.records[m] = step.run()
+            sharing = cooperative and config.sharing_enabled
+            summary, self.trace.records[m] = DensityStep(self, active, sharing=sharing).run()
             self.trace.summaries.append(summary)
         return self.trace
 

@@ -188,9 +188,10 @@ def _row_sums(c: np.ndarray) -> np.ndarray:
     numpy's pairwise sum of that action's m capacities in a contiguous
     row would: left to right below 8 stations; from 8 on, 8 running sums
     combined as ((0+1)+(2+3))+((4+5)+(6+7)) before the tail. Only the sign
-    of an all-zero sum can differ (numpy starts from +0.0). Above 128
-    stations, at least 2**129 joint actions that no search finishes, the
-    sums come from a row-major copy.
+    of an all-zero sum can differ (numpy starts from +0.0). Numpy splits a
+    row of more than 128 in halves, but no search gets there: at least
+    2**129 joint actions pass any allowed cap, and their prefix table would
+    need more than 64 dimensions.
     """
     n = c.shape[0]
     if n < 8:
@@ -198,13 +199,11 @@ def _row_sums(c: np.ndarray) -> np.ndarray:
         for j in range(1, n):
             total += c[j]
         return total
-    if n <= 128:
-        body = n - n % 8
-        r = [c[j] for j in range(8)]
-        for i in range(8, body, 8):
-            r = [r[j] + c[i + j] for j in range(8)]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for j in range(body, n):
-            total += c[j]
-        return total
-    return c.T.copy().sum(axis=1)
+    body = n - n % 8
+    r = [c[j] for j in range(8)]
+    for i in range(8, body, 8):
+        r = [r[j] + c[i + j] for j in range(8)]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for j in range(body, n):
+        total += c[j]
+    return total

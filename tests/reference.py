@@ -279,8 +279,9 @@ class SharingGroups:
 class LoopDensityStep:
     """``coordinator.DensityStep`` drawing per iteration and sharing by a padded gather.
 
-    The learning loop before block draws and the grouped buffer layout,
-    kept as the oracle those must equal bit for bit.
+    The learning loop before the horizon's draws moved to construction and
+    the grouped buffer layout, kept as the oracle those must equal bit for
+    bit.
 
     The agents' rows of ``Simulation.q`` are gathered into an
     ``(m + 1, n_power)`` buffer whose last row stays zero (the padding

@@ -229,6 +229,8 @@ class TestConfigValidation:
             ("learning", "max_iterations", 10.5, "learning.max_iterations must be an integer"),
             ("run", "seed", 1.5, "run.seed must be an integer"),
             ("run", "seed", -1, "run.seed must be >= 0"),
+            ("run", "oracle_cap", 0, "run.oracle_cap must be >= 1"),
+            ("run", "oracle_cap", 10**9 + 1, "run.oracle_cap must be <= 1000000000"),
             ("run", "trace_stride", 2.5, "run.trace_stride must be an integer"),
             ("phases", "seed_agents", True, "phases.seed_agents must be an integer"),
             ("phases", "sharing_enabled", "false", "phases.sharing_enabled must be true or false"),
@@ -590,6 +592,16 @@ class TestCli:
         assert main(["oracle", "--quiet"]) == 3
         assert "31^15" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []  # not even the default output directory
+
+    @pytest.mark.parametrize("command", ["validate-config", "oracle"])
+    def test_oracle_cap_past_its_limit_exits_1_naming_the_key(self, tmp_path, capsys, command):
+        # the pruned search's bound tables for 20 stations would pass numpy's 64 dimensions
+        path = write_yaml(tmp_path / "c.yaml", {"run": {"oracle_cap": 10**40}})
+        out = tmp_path / "out"
+        args = ["--config", path, "--m-max", "20", "--out", str(out), "--quiet"]
+        assert main([command, *args]) == 1
+        assert capsys.readouterr().err.startswith("config error: run.oracle_cap must be <= ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("refusal, code", [("cap", 3), ("scenario", 1)])
     def test_refused_oracle_leaves_out_absent(self, tmp_path, refusal, code):

@@ -27,6 +27,7 @@ from reference import (
     LoopDensityStep,
     capacity_bps_hz,
     detect_convergence,
+    explore_action,
     fue_sinr,
     mue_sinr,
     q_update,
@@ -45,6 +46,15 @@ def tiny_config(**overrides):
     )
     defaults.update(overrides)
     return ScenarioConfig(**defaults)
+
+
+def generator_states(sim):
+    return [a.rng.bit_generator.state for a in sim.agents]
+
+
+def draw_scalar(config, agent, count):
+    """``agent``'s next ``count`` per-iteration explore draws, 0 where it does not explore."""
+    return [explore_action(config.epsilon, config.n_power, agent.rng) or 0 for _ in range(count)]
 
 
 def step_row(step, iteration):
@@ -216,6 +226,19 @@ class TestDetectConvergence:
         assert summary.iterations_to_converge == 50
         assert summary.converged
 
+    def test_early_stop_leaves_generators_at_its_draws(self):
+        # every step converges after 50 of its 400 exploring iterations; the
+        # station admitted at position p takes part in m_max - p steps
+        config = tiny_config(
+            alpha=0.0, m_max=3, seed_agents=3, max_iterations=500, convergence_window=50
+        )
+        sim, twin = Simulation(config), Simulation(config)
+        summaries = sim.run().summaries
+        assert [s.iterations_to_converge for s in summaries] == [50, 50, 50]
+        for position, aid in enumerate(twin.admission_order):
+            draw_scalar(config, twin.agents[aid], 50 * (config.m_max - position))
+        assert generator_states(sim) == generator_states(twin)
+
 
 class TestDensityStep:
     def test_single_agent_greedy_first_step(self):
@@ -305,18 +328,35 @@ class TestDensityStep:
 
     def test_no_draws_from_the_exploration_horizon_on(self):
         config = tiny_config(epsilon=1.0, explore_fraction=0.33, max_iterations=7)
-        sim = Simulation(config)
+        sim, twin = Simulation(config), Simulation(config)
         step = DensityStep(sim, list(sim.agents), sharing=False)
         assert step._explore_until == 3  # ceil(0.33 * 7)
 
-        def states():
-            return [a.rng.bit_generator.state for a in sim.agents]
+        # construction draws the whole horizon, and no step moves a generator
+        for agent in twin.agents:
+            draw_scalar(config, agent, 3)
+        assert generator_states(sim) == generator_states(twin)
+        for it in (3, 2, 6, 0):
+            step.step(it)
+        assert generator_states(sim) == generator_states(twin)
 
-        before = states()
-        step.step(3)
-        assert states() == before
-        step.step(2)
-        assert all(now != then for now, then in zip(states(), before))
+    @pytest.mark.parametrize("sharing", [True, False])
+    def test_step_applies_its_own_iterations_draws(self, sharing):
+        # alpha = 0 keeps every Q-row zero, so the greedy action is 0 and a
+        # step's actions are its iteration's explore draws, in any call order
+        config = tiny_config(
+            alpha=0.0, m_max=4, seed_agents=4, epsilon=0.5, explore_fraction=0.5, max_iterations=80
+        )
+        sim, twin = Simulation(config), Simulation(config)
+        step = DensityStep(sim, list(sim.agents), sharing=sharing)
+        drawn = np.array([draw_scalar(config, agent, 40) for agent in twin.agents]).T
+        assert drawn.any(axis=1).sum() > 20  # most iterations explore
+        states = generator_states(sim)
+        order = np.random.default_rng(0).permutation(80).tolist()
+        for it in order + order[:10]:
+            expected = drawn[it].tolist() if it < 40 else [0] * 4
+            assert step.step(it)[0].tolist() == expected, it
+        assert generator_states(sim) == states
 
     def test_default_reward_takes_the_config_exponent(self):
         sim = Simulation(tiny_config(mue_capacity_exponent=1))
@@ -575,12 +615,12 @@ def assert_runs_like_the_loop_reference(config, monkeypatch):
 
 @pytest.mark.slow
 class TestLoopReference:
-    """Block draws and the grouped buffer against per-iteration draws and a padded gather."""
+    """Horizon draws and the grouped buffer against per-iteration draws and a padded gather."""
 
     @pytest.mark.parametrize("sharing", [True, False])
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_default_layout(self, seed, sharing, monkeypatch):
-        # 1,600 exploring iterations: three full blocks and one of 64
+        # 1,600 exploring iterations of 2,000, all drawn at construction
         config = ScenarioConfig(seed=seed, sharing_enabled=sharing, max_iterations=2000)
         assert_runs_like_the_loop_reference(config, monkeypatch)
 
@@ -590,6 +630,7 @@ class TestLoopReference:
         assert_runs_like_the_loop_reference(config, monkeypatch)
 
     def test_horizon_off_the_block_grid(self, monkeypatch):
+        # every one of the 700 iterations explores
         config = ScenarioConfig(
             seed=4, epsilon=0.5, explore_fraction=1.0, max_iterations=700, trace_stride=1
         )

@@ -245,7 +245,7 @@ class TestBlockEnumeration:
         result = search_and_reference(gains, actions, thresholds, p_bs_mw=10.0)
         assert result.feasible == (level != "impossible")
 
-    @pytest.mark.parametrize("m", [*range(1, 21), 129, 300])
+    @pytest.mark.parametrize("m", range(1, 21))
     def test_row_sums_follow_numpy_order(self, m):
         # magnitudes spread over 16 decades make every change of order
         # show in the last bits
