@@ -208,7 +208,8 @@ def write_run_artifacts(config: ScenarioConfig, trace: RunTrace, out_dir: Path) 
 def _output_dir(config: ScenarioConfig) -> Path:
     """``config.output_dir``, refused before any work if it or an ancestor is a file."""
     out_dir = Path(config.output_dir)
-    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    # a link is there even when it leads nowhere, dangling or in a loop, and is refused
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.is_symlink() or p.exists())
     if not existing.is_dir():
         raise ConfigError(f"run.output_dir {out_dir}: {existing} exists and is not a directory")
     return out_dir

@@ -9,7 +9,7 @@ import hashlib
 import json
 import math
 import operator
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from typing import Any, Callable
 
@@ -34,67 +34,94 @@ class ConfigError(ValueError):
     """Raised for malformed or inconsistent scenario configuration."""
 
 
+def _key(section: str, default: Any, rule: Callable[[Any], str | None] | None = None):
+    """A field in YAML section ``section``, checked by ``rule`` once normalised."""
+    return field(default=default, metadata={"section": section, "rule": rule})
+
+
+# A rule takes a field's normalised value and returns what is wrong with it, the
+# end of a message that starts with the field's YAML key, or None when it is fine.
+def _at_least(low: int, high: float = math.inf) -> Callable[[int], str | None]:
+    """The rule ``low <= value <= high``."""
+
+    def rule(value: int) -> str | None:
+        if value < low:
+            return f"must be >= {low}, got {value}"
+        return f"must be <= {high}, got {value}" if value > high else None
+
+    return rule
+
+
+def _positive(value: float) -> str | None:
+    return None if value > 0 else f"must be positive, got {value}"
+
+
+def _unit(value: float) -> str | None:
+    return None if 0.0 <= value <= 1.0 else f"must be in [0, 1], got {value}"
+
+
+def _power(dbm: float) -> str | None:
+    # the power levels lie between the two ends of the action range, which this checks
+    try:
+        mw = dbm_to_mw(dbm)
+    except OverflowError:
+        mw = math.inf
+    return None if 0.0 < mw < math.inf else "must be a positive, finite power in mW"
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """All scenario parameters; defaults reproduce the reference dense-network setup.
 
-    Construction normalises each value to its field's type (an integer in a
-    float field becomes a float, a list a tuple), then checks the rules. A
-    value of another type, or one breaking a rule, is a ``ConfigError``.
+    Each field is the YAML key ``<section>.<name less a "<section>_" prefix>``,
+    so ``pathloss_exponent`` is ``pathloss.exponent``. Construction normalises
+    each value to its field's type (an integer in a float field becomes a
+    float, a list a tuple), then checks each field's rule in declaration
+    order, then the rules across fields. A value of another type, or one
+    breaking a rule, is a ``ConfigError``.
     """
 
-    # action set
-    p_min_dbm: float = -20.0
-    p_max_dbm: float = 25.0
-    n_power: int = 31
-    # ring geometry
-    mbs_radii: tuple[float, ...] = (50.0, 150.0, 400.0)
-    mue_radii: tuple[float, ...] = (15.0, 50.0, 125.0)
-    d_th_m: float = 25.0
-    # path loss
-    pl0_db: float = 62.3
-    pathloss_exponent: float = 4.0
-    d0_m: float = 5.0
-    f_ghz: float = 2.4
-    # radio
-    p_bs_dbm: float = 43.0
-    noise_dbm: float = -104.0
-    # QoS
-    mue_min_capacity: float = 1.0
-    fue_min_capacity: float | tuple[float, ...] = 1.0
-    # learning
-    alpha: float = 0.5
-    gamma: float = 0.9
-    epsilon: float = 0.1
-    explore_fraction: float = 0.8
-    max_iterations: int = 50_000
-    # reward
-    reward_name: str = "proposed"
-    mue_capacity_exponent: int = 2
-    # phases
-    seed_agents: int = 4
-    m_max: int = 15
-    sharing_enabled: bool = True
-    # convergence detection
-    convergence_window: int = 500
-    convergence_tolerance: float = 1e-3
-    # layout
-    fbs_spacing_m: float = 35.0
-    fue_radius_m: float = 10.0
-    fue_min_distance_m: float = 0.5
-    mbs_position: tuple[float, float] = (-150.0, 0.0)
-    mue_position: tuple[float, float] = (3.5, 3.5)
-    fbs_positions: tuple[tuple[float, float], ...] | None = None
-    fue_positions: tuple[tuple[float, float], ...] | None = None
-    # run control
-    seed: int = 1
-    trace_stride: int = 50
-    output_dir: str = "runs"
-    oracle_cap: int = 10_000_000
+    p_min_dbm: float = _key("actions", -20.0, _power)
+    p_max_dbm: float = _key("actions", 25.0, _power)
+    n_power: int = _key("actions", 31, _at_least(2))
+    mbs_radii: tuple[float, ...] = _key("rings", (50.0, 150.0, 400.0))
+    mue_radii: tuple[float, ...] = _key("rings", (15.0, 50.0, 125.0))
+    d_th_m: float = _key("rings", 25.0, _positive)
+    pl0_db: float = _key("pathloss", 62.3)
+    pathloss_exponent: float = _key("pathloss", 4.0, _positive)
+    d0_m: float = _key("pathloss", 5.0, _positive)
+    f_ghz: float = _key("pathloss", 2.4, _positive)
+    p_bs_dbm: float = _key("radio", 43.0, _power)
+    noise_dbm: float = _key("radio", -104.0, _power)
+    mue_min_capacity: float = _key("qos", 1.0, _positive)
+    fue_min_capacity: float | tuple[float, ...] = _key("qos", 1.0)
+    alpha: float = _key("learning", 0.5, _unit)
+    gamma: float = _key("learning", 0.9, _unit)
+    epsilon: float = _key("learning", 0.1, _unit)
+    explore_fraction: float = _key("learning", 0.8, _unit)
+    max_iterations: int = _key("learning", 50_000, _at_least(1))
+    reward_name: str = _key("reward", "proposed")
+    mue_capacity_exponent: int = _key("reward", 2, _at_least(0))
+    seed_agents: int = _key("phases", 4, _at_least(1))
+    m_max: int = _key("phases", 15, _at_least(1))
+    sharing_enabled: bool = _key("phases", True)
+    convergence_window: int = _key("convergence", 500, _at_least(1))
+    convergence_tolerance: float = _key("convergence", 1e-3, _positive)
+    fbs_spacing_m: float = _key("layout", 35.0, _positive)
+    fue_radius_m: float = _key("layout", 10.0, _positive)
+    fue_min_distance_m: float = _key("layout", 0.5)
+    mbs_position: tuple[float, float] = _key("layout", (-150.0, 0.0))
+    mue_position: tuple[float, float] = _key("layout", (3.5, 3.5))
+    fbs_positions: tuple[tuple[float, float], ...] | None = _key("layout", None)
+    fue_positions: tuple[tuple[float, float], ...] | None = _key("layout", None)
+    seed: int = _key("run", 1, _at_least(0))
+    trace_stride: int = _key("run", 50, _at_least(1))
+    output_dir: str = _key("run", "runs")
+    oracle_cap: int = _key("run", 10_000_000, _at_least(1, _ORACLE_CAP_MAX))
 
     def __post_init__(self):
         """Normalise every field, then check every rule: the one place config rules live."""
-        for name, key, normalise, wanted in _NORMALISERS:
+        for name, key, normalise, wanted, _ in _FIELDS:
             value = getattr(self, name)
             try:
                 normal = normalise(value)
@@ -102,47 +129,10 @@ class ScenarioConfig:
                 raise ConfigError(f"{key} {wanted}, got {value!r}") from None
             if normal is not value:
                 object.__setattr__(self, name, normal)
-        keys = _YAML_KEYS
-        for name, low in (
-            ("n_power", 2),
-            ("max_iterations", 1),
-            ("mue_capacity_exponent", 0),
-            ("seed_agents", 1),
-            ("m_max", 1),
-            ("convergence_window", 1),
-            ("seed", 0),
-            ("trace_stride", 1),
-            ("oracle_cap", 1),
-        ):
-            if getattr(self, name) < low:
-                raise ConfigError(f"{keys[name]} must be >= {low}, got {getattr(self, name)}")
-        if self.oracle_cap > _ORACLE_CAP_MAX:
-            raise ConfigError(
-                f"{keys['oracle_cap']} must be <= {_ORACLE_CAP_MAX}, got {self.oracle_cap}"
-            )
-        for name in (
-            "d_th_m",
-            "pathloss_exponent",
-            "d0_m",
-            "f_ghz",
-            "mue_min_capacity",
-            "convergence_tolerance",
-            "fbs_spacing_m",
-            "fue_radius_m",
-        ):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{keys[name]} must be positive, got {getattr(self, name)}")
-        for name in ("alpha", "gamma", "epsilon", "explore_fraction"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ConfigError(f"{keys[name]} must be in [0, 1], got {getattr(self, name)}")
-        for name in ("p_min_dbm", "p_max_dbm", "p_bs_dbm", "noise_dbm"):
-            # the power levels lie between the two ends of the action range
-            try:
-                mw = dbm_to_mw(getattr(self, name))
-            except OverflowError:
-                mw = math.inf
-            if not 0.0 < mw < math.inf:
-                raise ConfigError(f"{keys[name]} must be a positive, finite power in mW")
+        for name, key, _, _, rule in _FIELDS:
+            broken = rule and rule(getattr(self, name))
+            if broken:
+                raise ConfigError(f"{key} {broken}")
         if not self.p_min_dbm < self.p_max_dbm:
             raise ConfigError("actions.p_min_dbm must be below actions.p_max_dbm")
         for name, radii in (("mbs_radii", self.mbs_radii), ("mue_radii", self.mue_radii)):
@@ -182,35 +172,11 @@ class ScenarioConfig:
         return (self.fue_min_capacity,) * self.m_max
 
 
-# YAML section -> its keys
-_SECTIONS = {
-    "actions": ("p_min_dbm", "p_max_dbm", "n_power"),
-    "rings": ("mbs_radii", "mue_radii", "d_th_m"),
-    "pathloss": ("pl0_db", "exponent", "d0_m", "f_ghz"),
-    "radio": ("p_bs_dbm", "noise_dbm"),
-    "qos": ("mue_min_capacity", "fue_min_capacity"),
-    "learning": ("alpha", "gamma", "epsilon", "explore_fraction", "max_iterations"),
-    "reward": ("name", "mue_capacity_exponent"),
-    "phases": ("seed_agents", "m_max", "sharing_enabled"),
-    "convergence": ("window", "tolerance"),
-    "layout": (
-        "fbs_spacing_m",
-        "fue_radius_m",
-        "fue_min_distance_m",
-        "mbs_position",
-        "mue_position",
-        "fbs_positions",
-        "fue_positions",
-    ),
-    "run": ("seed", "trace_stride", "output_dir", "oracle_cap"),
-}
-_FIELD_NAMES = {f.name for f in fields(ScenarioConfig)}
-# YAML section -> {yaml key: dataclass field}: the field of the key's name, or
-# else of "<section>_<key>" (pathloss.exponent is pathloss_exponent)
-_SCHEMA: dict[str, dict[str, str]] = {
-    section: {key: key if key in _FIELD_NAMES else f"{section}_{key}" for key in keys}
-    for section, keys in _SECTIONS.items()
-}
+# YAML section -> {YAML key: field}, by the key rule of ScenarioConfig's docstring
+_SCHEMA: dict[str, dict[str, str]] = {}
+for _field in fields(ScenarioConfig):
+    _section = _field.metadata["section"]
+    _SCHEMA.setdefault(_section, {})[_field.name.removeprefix(f"{_section}_")] = _field.name
 
 _YAML_KEYS = {
     field_name: f"{section}.{key}"
@@ -275,9 +241,9 @@ def _normaliser(name: str, default: Any) -> tuple[Callable[[Any], Any], str]:
     return _finite_float, "must be a finite number"
 
 
-# (field, YAML key, normaliser, what it asks for) for every field
-_NORMALISERS = tuple(
-    (f.name, _YAML_KEYS[f.name], *_normaliser(f.name, f.default))
+# (field, YAML key, normaliser, what it asks for, rule or None) for every field
+_FIELDS = tuple(
+    (f.name, _YAML_KEYS[f.name], *_normaliser(f.name, f.default), f.metadata["rule"])
     for f in fields(ScenarioConfig)
 )
 
@@ -324,7 +290,7 @@ def load_yaml(path) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return yaml.safe_load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"malformed YAML in {path}: {exc}") from exc

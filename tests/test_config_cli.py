@@ -101,6 +101,36 @@ DBM_KEYS = [
 
 FLOAT_FIELDS = [f.name for f in fields(ScenarioConfig) if isinstance(f.default, float)]
 
+# one broken value of each field with a range rule, and the whole message it gives
+RANGE_ERRORS = [
+    ("actions", "p_min_dbm", 4000.0, "actions.p_min_dbm must be a positive, finite power in mW"),
+    ("actions", "p_max_dbm", -4000.0, "actions.p_max_dbm must be a positive, finite power in mW"),
+    ("actions", "n_power", 1, "actions.n_power must be >= 2, got 1"),
+    ("rings", "d_th_m", 0.0, "rings.d_th_m must be positive, got 0.0"),
+    ("pathloss", "exponent", -1, "pathloss.exponent must be positive, got -1.0"),
+    ("pathloss", "d0_m", 0.0, "pathloss.d0_m must be positive, got 0.0"),
+    ("pathloss", "f_ghz", -2.4, "pathloss.f_ghz must be positive, got -2.4"),
+    ("radio", "p_bs_dbm", 4000.0, "radio.p_bs_dbm must be a positive, finite power in mW"),
+    ("radio", "noise_dbm", -4000.0, "radio.noise_dbm must be a positive, finite power in mW"),
+    ("qos", "mue_min_capacity", 0.0, "qos.mue_min_capacity must be positive, got 0.0"),
+    ("learning", "alpha", 1.5, "learning.alpha must be in [0, 1], got 1.5"),
+    ("learning", "gamma", 1.1, "learning.gamma must be in [0, 1], got 1.1"),
+    ("learning", "epsilon", -0.5, "learning.epsilon must be in [0, 1], got -0.5"),
+    ("learning", "explore_fraction", 2, "learning.explore_fraction must be in [0, 1], got 2.0"),
+    ("learning", "max_iterations", 0, "learning.max_iterations must be >= 1, got 0"),
+    ("reward", "mue_capacity_exponent", -1, "reward.mue_capacity_exponent must be >= 0, got -1"),
+    ("phases", "seed_agents", 0, "phases.seed_agents must be >= 1, got 0"),
+    ("phases", "m_max", 0, "phases.m_max must be >= 1, got 0"),
+    ("convergence", "window", 0, "convergence.window must be >= 1, got 0"),
+    ("convergence", "tolerance", 0.0, "convergence.tolerance must be positive, got 0.0"),
+    ("layout", "fbs_spacing_m", 0.0, "layout.fbs_spacing_m must be positive, got 0.0"),
+    ("layout", "fue_radius_m", 0.0, "layout.fue_radius_m must be positive, got 0.0"),
+    ("run", "seed", -1, "run.seed must be >= 0, got -1"),
+    ("run", "trace_stride", 0, "run.trace_stride must be >= 1, got 0"),
+    ("run", "oracle_cap", 0, "run.oracle_cap must be >= 1, got 0"),
+    ("run", "oracle_cap", 10**9 + 1, "run.oracle_cap must be <= 1000000000, got 1000000001"),
+]
+
 
 def number(low, high):
     """An int or a float in [low, high], as a Python caller may pass either."""
@@ -246,6 +276,25 @@ class TestConfigValidation:
     def test_invariant_violations_name_the_key(self, section, key, value, fragment):
         with pytest.raises(ConfigError, match=fragment):
             config_from_dict({section: {key: value}})
+
+    @pytest.mark.parametrize(
+        "section,key,value,message",
+        RANGE_ERRORS,
+        ids=[f"{section}.{key}={value!r}" for section, key, value, _ in RANGE_ERRORS],
+    )
+    def test_range_errors_give_the_whole_message(self, section, key, value, message):
+        with pytest.raises(ConfigError) as info:
+            config_from_dict({section: {key: value}})
+        assert str(info.value) == message
+
+    def test_the_first_field_to_break_its_rule_is_named(self):
+        # in declaration order, whatever the kind of rule
+        data = {"run": {"seed": -1}, "learning": {"alpha": 2.0}, "actions": {"p_min_dbm": 4000}}
+        with pytest.raises(ConfigError, match=r"^actions\.p_min_dbm "):
+            config_from_dict(data)
+        del data["actions"]
+        with pytest.raises(ConfigError, match=r"^learning\.alpha "):
+            config_from_dict(data)
 
     @pytest.mark.parametrize("section,key", DBM_KEYS)
     @pytest.mark.parametrize("dbm", [4000.0, 3082.6, -3237.0, -4000.0])
@@ -785,7 +834,8 @@ class TestCli:
             assert captured.err.startswith("usage: femtoq")
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("out", ["file", "file/sub"])
+    # a file, a link to nowhere and a link to itself, and paths under each
+    @pytest.mark.parametrize("out", ["file", "file/sub", "dangling", "dangling/sub", "loop"])
     @pytest.mark.parametrize("command", ["validate-config", "run", "oracle"])
     def test_out_on_a_file_exits_1_before_any_work(
         self, tmp_path, capsys, monkeypatch, command, out
@@ -796,10 +846,26 @@ class TestCli:
         monkeypatch.setattr("femtoq.cli.Simulation", no_simulation)
         target = tmp_path / "file"
         target.write_text("not a directory", encoding="utf-8")
+        (tmp_path / "dangling").symlink_to("nowhere")
+        (tmp_path / "loop").symlink_to("loop")
         path = write_yaml(tmp_path / "c.yaml", FAST_RUN)
         assert main([command, "--config", path, "--out", str(tmp_path / out), "--quiet"]) == 1
         assert capsys.readouterr().err.startswith("config error: run.output_dir ")
         assert target.read_text(encoding="utf-8") == "not a directory"
+        assert os.readlink(tmp_path / "dangling") == "nowhere"
+        assert os.readlink(tmp_path / "loop") == "loop"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.yaml", "dangling", "file", "loop"]
+
+    @pytest.mark.parametrize(
+        "text",
+        [b"run:\n  seed: 1  # caf\xe9\n", b"\xff\xfer\x00u\x00n\x00:\x00"],
+        ids=["latin-1", "utf-16"],
+    )
+    def test_config_file_not_in_utf8_exits_1(self, tmp_path, capsys, text):
+        path = tmp_path / "c.yaml"
+        path.write_bytes(text)
+        assert main(["validate-config", "--config", str(path), "--quiet"]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: cannot read config file {path}: ")
 
     def test_unknown_reward_is_config_error(self, tmp_path, capsys):
         path = write_yaml(tmp_path / "c.yaml", {"reward": {"name": "mystery"}})
