@@ -23,8 +23,23 @@ last bit as a single ``sum(axis=1)`` over the whole enumeration.
 
 Most blocks are never evaluated: the blocks that may hold a feasible
 action come first, then by descending bound (:func:`_block_bounds`), until
-none left can reach the best feasible objective. The result is full
-enumeration's to the last bit; ``n_enumerated`` counts the space searched.
+none left can reach the best feasible objective. A visited block is
+refined by one station first: its n children, the block with its first
+suffix station fixed at each level, are bounded and tested the same way,
+and only the survivors' rows are written into the workspace and evaluated,
+in one batch, in flat-index order. Once a block has been evaluated without
+a feasible action, :func:`min_levels` decides whether any action meets
+QoS; when not even thresholds relaxed by ``_MARGIN`` can be met, every
+block is hopeless, and the rest are visited by descending bound and pruned
+on it alone. It is not asked before the first block: on layouts whose
+first block holds the optimum, it would cost about a quarter of the search.
+
+The result is full enumeration's to the last bit; ``n_enumerated`` counts
+the space searched. Only the macro user's capacity depends on the batch an
+action is evaluated in: from 8 stations on, OpenBLAS rounds the last
+``rows mod 4`` rows of a batch differently in the last bit, which can
+matter only where an action's macro capacity is within that bit of its
+threshold.
 """
 
 from __future__ import annotations
@@ -90,6 +105,13 @@ def exhaustive_search(
     links = Links(gains, p_bs_mw, noise_mw)
     q_fue = np.asarray(thresholds.fue)
     levels = actions.levels_mw
+    infeasible = False  # until min_levels says otherwise, in the block loop
+
+    def bound(prefixes):
+        """The femto-sum bound and the hopeless flag of the blocks under ``(r, p)`` prefixes."""
+        station, macro = _block_bounds(gains, levels, prefixes, p_bs_mw, noise_mw)
+        hopeless = infeasible | (macro < thresholds.mue) | (station < q_fue).any(axis=1)
+        return station.sum(axis=1), hopeless
 
     # the last k agents vary inside a block, the first p = m - k are fixed
     # per block; agent 0 is the most significant digit throughout
@@ -97,47 +119,85 @@ def exhaustive_search(
     while k < m and n ** (k + 1) <= _CHUNK:
         k += 1
     p = m - k
-    prefixes, station, macro = _block_bounds(gains, levels, p, p_bs_mw, noise_mw)
-    upper, hopeless = station.sum(axis=1), (macro < thresholds.mue) | (station < q_fue).any(axis=1)
+    prefixes = levels[np.indices((n,) * p).reshape(p, n**p).T]
+    upper, hopeless = bound(prefixes)
     # one workspace for the block and the capacities written from it, so
     # the block loop allocates no large array: glibc's malloc raises its
     # mmap and trim thresholds to the largest chunk it has unmapped, and
     # once it has unmapped this one, every later call and every smaller
     # temporary reuses pages already mapped instead of faulting fresh ones
     rows = n**k
+    child_rows = rows // n
     work = np.empty((3 * m + 1) * rows)
-    size = rows * m
-    block = work[:size].reshape(rows, m)
-    c_fue, signal = (work[i * size : (i + 1) * size].reshape(m, rows) for i in (1, 2))
-    c_mue = work[3 * size :]
+    full = rows * m
+    block = work[:full].reshape(rows, m)
     block[:, p:] = levels[np.indices((n,) * k).reshape(k, -1).T]
+
+    def best(values, starts):
+        """The largest value and minus its flat index, the first of a tie.
+
+        ``starts`` holds the flat index of each evaluated child's first row.
+        """
+        i = int(np.argmax(values))
+        return float(values[i]), -int(starts[i // child_rows] + i % child_rows)
 
     # keys (objective, -flat index), so a tie goes to the smaller index; 1 marks none yet
     best_any = best_feasible = (-np.inf, 1)
-    for b in np.lexsort((-upper, hopeless)).tolist():
-        # no block left can beat the best feasible action, or with none, the best action
+    certified = False
+    pending = np.lexsort((-upper, hopeless)).tolist()[::-1]  # the next block last
+    while pending:
+        b = pending.pop()
         found = best_feasible[1] <= 0
+        if not (found or certified) and best_any[1] <= 0:
+            # a block was evaluated and held no feasible action: when not even
+            # the relaxed instance has one, every block is hopeless, and the
+            # rest are visited by descending bound, pruned on it alone
+            certified = True
+            if min_levels(links, levels, q_fue / _MARGIN, thresholds.mue / _MARGIN) is None:
+                infeasible = True
+                hopeless[:] = True
+                pending = sorted([*pending, b], key=upper.__getitem__)
+                continue
+        # no block left can beat the best feasible action, or with none, the best action
         if upper[b] < best_feasible[0] or hopeless[b] and (found or upper[b] < best_any[0]):
             break
-        start = b * rows
-        # one scalar fill per column: a (p,) row broadcast into the strided
-        # prefix columns costs several times more
+        # the block's n children, its first suffix station at each level,
+        # face the same test once there is an incumbent to fail it against;
+        # the survivors' rows are evaluated together, in flat-index order,
+        # so a tie still goes to the smaller index
+        kept = np.arange(n)
+        if best_any[1] <= 0:
+            child_upper, child_hopeless = bound(
+                np.column_stack((np.broadcast_to(prefixes[b], (n, p)), levels))
+            )
+            pruned = (child_upper < best_feasible[0]) | child_hopeless & (
+                found | (child_upper < best_any[0])
+            )
+            kept = kept[~pruned]
+            if not kept.size:
+                continue
+        size = kept.size * child_rows
+        # one scalar fill per prefix column: a (p,) row broadcast into the
+        # strided prefix columns costs several times more
         for j in range(p):
-            block[:, j] = prefixes[b, j]
-        links.capacities(block, out=(c_mue, c_fue, signal))
+            block[:size, j] = prefixes[b, j]
+        block[:size, p].reshape(kept.size, child_rows)[:] = levels[kept, None]
+        c_fue, signal = (work[i * full : i * full + size * m].reshape(m, size) for i in (1, 2))
+        c_mue = work[3 * full : 3 * full + size]
+        links.capacities(block[:size], out=(c_mue, c_fue, signal))
         sums = _row_sums(c_fue)
 
-        i = int(np.argmax(sums))
-        best_any = max(best_any, (float(sums[i]), -(start + i)))
+        starts = b * rows + kept * child_rows
+        best_any = max(best_any, best(sums, starts))
         # the femto comparisons only matter where the macro user is served
         feasible = c_mue >= thresholds.mue
         if feasible.any():
             for j in range(m):
                 feasible &= c_fue[j] >= q_fue[j]
         if feasible.any():
-            masked = np.where(feasible, sums, -np.inf)
-            i = int(np.argmax(masked))
-            best_feasible = max(best_feasible, (float(masked[i]), -(start + i)))
+            if infeasible:
+                raise RuntimeError("a joint action meets QoS that was certified infeasible")
+            best_feasible = max(best_feasible, best(np.where(feasible, sums, -np.inf), starts))
 
     feasible_found = best_feasible[1] <= 0
     objective, flat_index = best_feasible if feasible_found else best_any
@@ -155,22 +215,60 @@ def exhaustive_search(
     )
 
 
-def _block_bounds(gains: np.ndarray, levels: np.ndarray, p: int, p_bs_mw: float, noise_mw: float):
-    """Each block's prefix levels ``(n**p, p)`` and capacity bounds ``(n**p, m)``, ``(n**p,)``.
+def min_levels(
+    links: Links, levels: np.ndarray, q_fue: np.ndarray, q_mue: float
+) -> tuple[int, ...] | None:
+    """The least joint action meeting every femto threshold, or ``None`` when QoS cannot be met.
 
-    Capacities are monotone in the femto powers (Yates, IEEE JSAC 1995): a
-    bound puts a suffix station's own power at the top level and the suffix
-    interferers at the bottom. It adds only non-negative products, less the
-    few roundings by which the kernel's subtraction of the own signal can
-    read the interference low; if it cannot be computed, or p is 0, it is +inf.
+    A femto user's capacity rises with its own station's power and falls
+    with every other femto power; the macro user's falls with every femto
+    power (Yates, IEEE JSAC 1995). So, from every station at level 0, each
+    station is raised to its smallest level that meets its own threshold
+    with the others fixed, read from one ``(n, m)`` batch, and never
+    lowered, until nothing changes. Every raise is forced, so the result
+    a* lies below every action meeting the femto thresholds, componentwise;
+    QoS can be met exactly when a* exists and ``c_mue(a*) >= q_mue``.
     """
-    m, n = len(gains) - 1, len(levels)
-    if p == 0:  # one block, which nothing can prune
-        return np.empty((1, 0)), np.full((1, m), np.inf), np.full(1, np.inf)
-    prefixes = levels[np.indices((n,) * p).reshape(p, n**p).T]
+    m, n = len(q_fue), len(levels)
+    action = np.zeros(m, dtype=np.intp)
+    batch = np.empty((n, m))
+    raised = True
+    while raised:
+        raised = False
+        for j in range(m):
+            batch[:] = levels[action]
+            batch[:, j] = levels
+            c_mue, c_fue = links.capacities(batch)
+            met = np.flatnonzero(c_fue[j, action[j] :] >= q_fue[j])
+            if not met.size:
+                return None
+            if met[0]:
+                action[j] += met[0]
+                raised = True
+    # a* is row a*[-1] of the last batch, which raised nothing; a one-row
+    # batch would round the macro capacity differently in the last bit
+    return tuple(action.tolist()) if c_mue[action[-1]] >= q_mue else None
+
+
+def _block_bounds(
+    gains: np.ndarray, levels: np.ndarray, prefixes: np.ndarray, p_bs_mw: float, noise_mw: float
+):
+    """Capacity bounds ``(r, m)`` and ``(r,)`` over the blocks of ``r`` prefixes ``(r, p)``.
+
+    A block holds every action whose first p stations are at its prefix's
+    levels, given in mW. Capacities are monotone in the femto powers (Yates,
+    IEEE JSAC 1995): a bound puts a suffix station's own power at the top
+    level and the suffix interferers at the bottom. It adds only
+    non-negative products, less the few roundings by which the kernel's
+    subtraction of the own signal can read the interference low; if it
+    cannot be computed, or p is 0, it is +inf.
+    """
+    m, (r, p) = len(gains) - 1, prefixes.shape
+    if p == 0:  # the whole space, which nothing can prune
+        return np.full((r, m), np.inf), np.full(r, np.inf)
     g, low, top = gains[1:, 1:], levels[0], levels[-1]
     cross = g * (1.0 - np.eye(m))
-    signal = np.hstack((prefixes, np.full((n**p, m - p), top))) * np.diag(g)
+    signal = np.hstack((prefixes, np.full((r, m - p), top))) * np.diag(g)
     rest = p_bs_mw * gains[0, 1:] + noise_mw
     with np.errstate(all="ignore"):
         den = prefixes @ cross[:p] + low * cross[p:].sum(axis=0) + rest
@@ -178,7 +276,7 @@ def _block_bounds(gains: np.ndarray, levels: np.ndarray, p: int, p_bs_mw: float,
         station = np.where(den > 0.0, np.log1p(signal / den) / _LN2, np.inf) * _MARGIN
         den = prefixes @ gains[1 : p + 1, 0] + low * gains[p + 1 :, 0].sum() + noise_mw
         macro = np.log1p(p_bs_mw * gains[0, 0] / den) / _LN2 * _MARGIN
-    return prefixes, station, macro
+    return station, macro
 
 
 def _row_sums(c: np.ndarray) -> np.ndarray:

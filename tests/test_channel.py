@@ -332,13 +332,19 @@ class TestLinks:
             assert np.float64(c_mue).tobytes() == np.float64(expected_mue).tobytes()
             assert c_fue.tobytes() == expected_fue.tobytes()
 
-    # (m, rows): blocks the oracle enumerates, n**k rows for the most
-    # stations k whose n**k fits 2**15 rows: 31 levels at m <= 4 (and 15,
-    # as in the golden oracle digest), 25 at m=5, then 9, 6, 5, 4 and 3
+    # (m, rows): batches the oracle evaluates. A whole block holds n**k
+    # rows, k the most stations, at most m, whose n**k is at most 2**15:
+    # 31 levels at m <= 4 (and 15, as in the golden oracle digest), 25 at
+    # m=5, then 9, 6, 5, 4 and 3. The survivors among a block's n children
+    # hold any multiple of n**(k-1) rows up to it, down to one action at
+    # k=1. The feasibility certificate evaluates (n, m) batches.
     @pytest.mark.parametrize(
         "m, rows",
         [(1, 31), (2, 961), (3, 29791), (4, 29791), (4, 3375), (5, 15625), (6, 6561),
-         (6, 7776), (7, 15625), (8, 16384), (9, 19683)],
+         (6, 7776), (7, 15625), (8, 16384), (9, 19683),
+         (1, 1), (1, 7), (2, 155), (3, 961 * 17), (4, 961), (4, 961 * 13), (5, 625),
+         (5, 625 * 7), (6, 729 * 4), (8, 4096 * 3), (9, 6561 * 2),
+         (4, 31), (5, 25), (9, 3)],
     )
     @pytest.mark.parametrize("subset", [False, True], ids=["all", "subset"])
     def test_station_major_batch_is_the_row_major_one_transposed(self, m, rows, subset):

@@ -108,15 +108,19 @@ RANGE_ERRORS = [
     ("actions", "n_power", 1, "actions.n_power must be >= 2, got 1"),
     ("rings", "d_th_m", 0.0, "rings.d_th_m must be positive, got 0.0"),
     ("pathloss", "exponent", -1, "pathloss.exponent must be positive, got -1.0"),
+    ("pathloss", "exponent", 0.0, "pathloss.exponent must be positive, got 0.0"),
     ("pathloss", "d0_m", 0.0, "pathloss.d0_m must be positive, got 0.0"),
     ("pathloss", "f_ghz", -2.4, "pathloss.f_ghz must be positive, got -2.4"),
+    ("pathloss", "f_ghz", 0.0, "pathloss.f_ghz must be positive, got 0.0"),
     ("radio", "p_bs_dbm", 4000.0, "radio.p_bs_dbm must be a positive, finite power in mW"),
     ("radio", "noise_dbm", -4000.0, "radio.noise_dbm must be a positive, finite power in mW"),
     ("qos", "mue_min_capacity", 0.0, "qos.mue_min_capacity must be positive, got 0.0"),
     ("learning", "alpha", 1.5, "learning.alpha must be in [0, 1], got 1.5"),
     ("learning", "gamma", 1.1, "learning.gamma must be in [0, 1], got 1.1"),
     ("learning", "epsilon", -0.5, "learning.epsilon must be in [0, 1], got -0.5"),
+    ("learning", "epsilon", 2.0, "learning.epsilon must be in [0, 1], got 2.0"),
     ("learning", "explore_fraction", 2, "learning.explore_fraction must be in [0, 1], got 2.0"),
+    ("learning", "explore_fraction", -0.1, "learning.explore_fraction must be in [0, 1], got -0.1"),
     ("learning", "max_iterations", 0, "learning.max_iterations must be >= 1, got 0"),
     ("reward", "mue_capacity_exponent", -1, "reward.mue_capacity_exponent must be >= 0, got -1"),
     ("phases", "seed_agents", 0, "phases.seed_agents must be >= 1, got 0"),
@@ -232,35 +236,16 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "section,key,value,fragment",
         [
-            ("actions", "n_power", 1, "n_power"),
-            ("learning", "alpha", 1.5, "alpha"),
-            ("learning", "explore_fraction", -0.1, "explore_fraction"),
-            ("qos", "mue_min_capacity", 0.0, "mue_min_capacity"),
-            ("convergence", "tolerance", 0.0, "tolerance"),
-            ("phases", "m_max", 0, "m_max"),
-            ("run", "trace_stride", 0, "trace_stride"),
-            ("learning", "gamma", 1.1, "gamma"),
-            ("learning", "epsilon", 2.0, "epsilon"),
-            ("learning", "max_iterations", 0, "max_iterations"),
+            # checks beyond the declared range rules, which RANGE_ERRORS pins by whole message
             ("rings", "mue_radii", [50.0, 15.0, 125.0], "mue_radii"),
-            ("rings", "d_th_m", 0.0, "d_th_m"),
             ("actions", "p_min_dbm", 25.0, "p_min_dbm"),
             ("qos", "fue_min_capacity", 0.0, "fue_min_capacity"),
-            ("layout", "fbs_spacing_m", 0.0, "layout.fbs_spacing_m"),
-            ("layout", "fue_radius_m", 0.0, "layout.fue_radius_m"),
             ("layout", "fue_min_distance_m", 0.0, "fue_min_distance_m"),
-            ("convergence", "window", 0, "convergence.window"),
-            ("pathloss", "d0_m", 0.0, "pathloss.d0_m must be positive"),
-            ("pathloss", "exponent", 0.0, "pathloss.exponent must be positive"),
-            ("pathloss", "f_ghz", 0.0, "pathloss.f_ghz must be positive"),
             # wrong types and non-finite numbers
             ("actions", "n_power", 3.5, "actions.n_power must be an integer"),
             ("phases", "m_max", 2.5, "phases.m_max must be an integer"),
             ("learning", "max_iterations", 10.5, "learning.max_iterations must be an integer"),
             ("run", "seed", 1.5, "run.seed must be an integer"),
-            ("run", "seed", -1, "run.seed must be >= 0"),
-            ("run", "oracle_cap", 0, "run.oracle_cap must be >= 1"),
-            ("run", "oracle_cap", 10**9 + 1, "run.oracle_cap must be <= 1000000000"),
             ("run", "trace_stride", 2.5, "run.trace_stride must be an integer"),
             ("phases", "seed_agents", True, "phases.seed_agents must be an integer"),
             ("phases", "sharing_enabled", "false", "phases.sharing_enabled must be true or false"),
