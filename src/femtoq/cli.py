@@ -293,7 +293,7 @@ def run_oracle(config: ScenarioConfig, *, quiet: bool = False) -> Path:
     )
     if not quiet:
         print(
-            f"oracle: enumerated {result.n_enumerated} joint actions, "
+            f"oracle: searched {result.n_enumerated} joint actions, "
             f"best sum capacity {result.best_objective:.6f} b/s/Hz "
             f"({'feasible' if result.feasible else 'infeasible'})"
         )

@@ -21,18 +21,18 @@ numpy's ``sum(axis=1)`` adds a row of the row-major layout (see
 the objective, and so the maximizer and every tie, is the same to the
 last bit as a single ``sum(axis=1)`` over the whole enumeration.
 
-Most blocks are never evaluated: the blocks that may hold a feasible
-action come first, then by descending bound (:func:`_block_bounds`), until
-none left can reach the best feasible objective. A visited block is
-refined by one station first: its n children, the block with its first
+Most blocks are never evaluated. One loop runs at most twice. The QoS
+pass bounds each block (:func:`_block_bounds`), gives -inf to one whose
+macro or station bound falls below its threshold, and visits the rest by
+descending bound until none left reaches the best feasible action. A
+visited block is refined by one station first: its n children, its first
 suffix station fixed at each level, are bounded and tested the same way,
-and only the survivors' rows are written into the workspace and evaluated,
-in one batch, in flat-index order. Once a block has been evaluated without
-a feasible action, :func:`min_levels` decides whether any action meets
-QoS; when not even thresholds relaxed by ``_MARGIN`` can be met, every
-block is hopeless, and the rest are visited by descending bound and pruned
-on it alone. It is not asked before the first block: on layouts whose
-first block holds the optimum, it would cost about a quarter of the search.
+and only the survivors' rows are evaluated, in one batch, in flat-index
+order. If the first block evaluated holds no feasible action,
+:func:`min_levels` is asked whether thresholds relaxed by ``_MARGIN`` can
+be met; if not, the QoS pass ends. Asked up front, it would cost about a
+quarter of the search where the first block holds the optimum. Only if
+the QoS pass finds nothing does the loop run again without the QoS test.
 
 The result is full enumeration's to the last bit; ``n_enumerated`` counts
 the space searched. Only the macro user's capacity depends on the batch an
@@ -83,7 +83,8 @@ def exhaustive_search(
 ) -> OracleResult:
     """Enumerate all joint power assignments and maximize femto sum capacity.
 
-    The assignments are evaluated one block of ``n**k`` rows at a time
+    The assignments are evaluated one block of ``n**k`` rows at a time,
+    in a QoS pass and, if it finds no feasible action, a pass without
     (see the module docstring); a block with ``k = 1`` is larger than
     ``_CHUNK`` when ``n_power`` is. Ties break to the lexicographically
     smallest action-index vector: within a block by the first-index
@@ -105,13 +106,14 @@ def exhaustive_search(
     links = Links(gains, p_bs_mw, noise_mw)
     q_fue = np.asarray(thresholds.fue)
     levels = actions.levels_mw
-    infeasible = False  # until min_levels says otherwise, in the block loop
 
-    def bound(prefixes):
-        """The femto-sum bound and the hopeless flag of the blocks under ``(r, p)`` prefixes."""
+    def bound(prefixes, qos):
+        """The femto-sum bounds of ``(r, p)`` prefixes' blocks; with ``qos``, -inf if hopeless."""
         station, macro = _block_bounds(gains, levels, prefixes, p_bs_mw, noise_mw)
-        hopeless = infeasible | (macro < thresholds.mue) | (station < q_fue).any(axis=1)
-        return station.sum(axis=1), hopeless
+        upper = station.sum(axis=1)
+        if qos:
+            upper[(macro < thresholds.mue) | (station < q_fue).any(axis=1)] = -np.inf
+        return upper
 
     # the last k agents vary inside a block, the first p = m - k are fixed
     # per block; agent 0 is the most significant digit throughout
@@ -120,7 +122,6 @@ def exhaustive_search(
         k += 1
     p = m - k
     prefixes = levels[np.indices((n,) * p).reshape(p, n**p).T]
-    upper, hopeless = bound(prefixes)
     # one workspace for the block and the capacities written from it, so
     # the block loop allocates no large array: glibc's malloc raises its
     # mmap and trim thresholds to the largest chunk it has unmapped, and
@@ -132,6 +133,8 @@ def exhaustive_search(
     full = rows * m
     block = work[:full].reshape(rows, m)
     block[:, p:] = levels[np.indices((n,) * k).reshape(k, -1).T]
+    children = np.empty((n, p + 1))  # a visited block's prefix, then each level
+    children[:, p] = levels
 
     def best(values, starts):
         """The largest value and minus its flat index, the first of a tie.
@@ -141,66 +144,59 @@ def exhaustive_search(
         i = int(np.argmax(values))
         return float(values[i]), -int(starts[i // child_rows] + i % child_rows)
 
-    # keys (objective, -flat index), so a tie goes to the smaller index; 1 marks none yet
-    best_any = best_feasible = (-np.inf, 1)
-    certified = False
-    pending = np.lexsort((-upper, hopeless)).tolist()[::-1]  # the next block last
-    while pending:
-        b = pending.pop()
-        found = best_feasible[1] <= 0
-        if not (found or certified) and best_any[1] <= 0:
-            # a block was evaluated and held no feasible action: when not even
-            # the relaxed instance has one, every block is hopeless, and the
-            # rest are visited by descending bound, pruned on it alone
-            certified = True
-            if min_levels(links, levels, q_fue / _MARGIN, thresholds.mue / _MARGIN) is None:
-                infeasible = True
-                hopeless[:] = True
-                pending = sorted([*pending, b], key=upper.__getitem__)
-                continue
-        # no block left can beat the best feasible action, or with none, the best action
-        if upper[b] < best_feasible[0] or hopeless[b] and (found or upper[b] < best_any[0]):
-            break
-        # the block's n children, its first suffix station at each level,
-        # face the same test once there is an incumbent to fail it against;
-        # the survivors' rows are evaluated together, in flat-index order,
-        # so a tie still goes to the smaller index
-        kept = np.arange(n)
-        if best_any[1] <= 0:
-            child_upper, child_hopeless = bound(
-                np.column_stack((np.broadcast_to(prefixes[b], (n, p)), levels))
-            )
-            pruned = (child_upper < best_feasible[0]) | child_hopeless & (
-                found | (child_upper < best_any[0])
-            )
-            kept = kept[~pruned]
+    def search(qos):
+        """One pass's best action as ``(objective, -flat index)``, a tie to the smaller index.
+
+        With ``qos``, the best meeting QoS, or ``None``. Without, the best
+        of all; it runs only when the QoS pass has found none, so one
+        meeting QoS is an error. The incumbent starts below every objective
+        and above every hopeless bound.
+        """
+        upper = bound(prefixes, qos)
+        incumbent = (-np.finfo(float).max, 1)  # 1: no action yet
+        certify = qos
+        for b in np.argsort(-upper, kind="stable").tolist():
+            if upper[b] < incumbent[0]:
+                break
+            # the block's n children, its first suffix station at each level,
+            # face the same test; the survivors' rows are evaluated together,
+            # in flat-index order, so a tie still goes to the smaller index
+            children[:, :p] = prefixes[b]
+            kept = np.flatnonzero(bound(children, qos) >= incumbent[0])
             if not kept.size:
                 continue
-        size = kept.size * child_rows
-        # one scalar fill per prefix column: a (p,) row broadcast into the
-        # strided prefix columns costs several times more
-        for j in range(p):
-            block[:size, j] = prefixes[b, j]
-        block[:size, p].reshape(kept.size, child_rows)[:] = levels[kept, None]
-        c_fue, signal = (work[i * full : i * full + size * m].reshape(m, size) for i in (1, 2))
-        c_mue = work[3 * full : 3 * full + size]
-        links.capacities(block[:size], out=(c_mue, c_fue, signal))
-        sums = _row_sums(c_fue)
+            size = kept.size * child_rows
+            # one scalar fill per prefix column: a (p,) row broadcast into the
+            # strided prefix columns costs several times more
+            for j in range(p):
+                block[:size, j] = prefixes[b, j]
+            block[:size, p].reshape(kept.size, child_rows)[:] = levels[kept, None]
+            c_fue, signal = (work[i * full : i * full + size * m].reshape(m, size) for i in (1, 2))
+            c_mue = work[3 * full : 3 * full + size]
+            links.capacities(block[:size], out=(c_mue, c_fue, signal))
+            sums = _row_sums(c_fue)
 
-        starts = b * rows + kept * child_rows
-        best_any = max(best_any, best(sums, starts))
-        # the femto comparisons only matter where the macro user is served
-        feasible = c_mue >= thresholds.mue
-        if feasible.any():
-            for j in range(m):
-                feasible &= c_fue[j] >= q_fue[j]
-        if feasible.any():
-            if infeasible:
-                raise RuntimeError("a joint action meets QoS that was certified infeasible")
-            best_feasible = max(best_feasible, best(np.where(feasible, sums, -np.inf), starts))
+            starts = b * rows + kept * child_rows
+            # the femto comparisons only matter where the macro user is served
+            feasible = c_mue >= thresholds.mue
+            if feasible.any():
+                for j in range(m):
+                    feasible &= c_fue[j] >= q_fue[j]
+            if not qos:
+                if feasible.any():
+                    raise RuntimeError("an action meets QoS that the QoS pass certified infeasible")
+                incumbent = max(incumbent, best(sums, starts))
+            elif feasible.any():
+                incumbent = max(incumbent, best(np.where(feasible, sums, -np.inf), starts))
+            elif certify and (
+                min_levels(links, levels, q_fue / _MARGIN, thresholds.mue / _MARGIN) is None
+            ):
+                return None  # not even thresholds relaxed by _MARGIN can be met
+            certify = False
+        return incumbent if incumbent[1] <= 0 else None
 
-    feasible_found = best_feasible[1] <= 0
-    objective, flat_index = best_feasible if feasible_found else best_any
+    found = search(qos=True)
+    objective, flat_index = found or search(qos=False)
     indices = tuple(int(d) for d in np.unravel_index(-flat_index, (n,) * m))
     c_mue, c_fue = links.capacities(levels[np.array(indices)])
 
@@ -208,7 +204,7 @@ def exhaustive_search(
         best_action=indices,
         best_powers_dbm=tuple(float(actions.levels_dbm[i]) for i in indices),
         best_objective=objective,
-        feasible=feasible_found,
+        feasible=found is not None,
         c_mue=c_mue,
         fue_capacities=tuple(float(c) for c in c_fue),
         n_enumerated=total,

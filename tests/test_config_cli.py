@@ -648,7 +648,7 @@ class TestCli:
         assert main(["oracle", "--config", path, "--out", str(out), "--quiet"]) == code
         assert not out.exists()
 
-    def test_oracle_writes_result_and_gap(self, tmp_path):
+    def test_oracle_writes_result_and_gap(self, tmp_path, capsys):
         data = dict(FAST_RUN)
         data = {
             **FAST_RUN,
@@ -658,7 +658,8 @@ class TestCli:
         config_path = write_yaml(tmp_path / "c.yaml", data)
         out = tmp_path / "out"
         assert main(["run", "--config", config_path, "--out", str(out), "--quiet"]) == 0
-        assert main(["oracle", "--config", config_path, "--out", str(out), "--quiet"]) == 0
+        assert main(["oracle", "--config", config_path, "--out", str(out)]) == 0
+        assert capsys.readouterr().out.startswith("oracle: searched 64 joint actions, ")
 
         with open(out / "oracle_result.csv", newline="") as fh:
             row = next(csv.DictReader(fh))

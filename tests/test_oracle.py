@@ -380,6 +380,11 @@ class TestCertificate:
         certified = min_levels(links, actions.levels_mw, q_fue, q_mue) is not None
         assert certified == result.feasible
         assert result.feasible or ulps
+        if ulps:
+            # the relaxed certificate passes and no action meets QoS, so the
+            # pass without the QoS test gives the result
+            expected = one_shot_oracle(gains, actions, thresholds, p_bs_mw=10.0, noise_mw=NOISE)
+            assert_same_result(result, expected)
 
     @pytest.mark.parametrize("share", [0.5, 0.9, 1.0])
     @pytest.mark.parametrize("seed", range(5))
@@ -556,16 +561,18 @@ class TestPruning:
         monkeypatch.setattr(oracle, "_block_bounds", counted)
         assert not search(sim).feasible
         assert len(calls) <= 20
-        # one (n, m) batch per station in each sweep, after the first block
+        # one (n, m) batch per station in each sweep, after the QoS pass's
+        # first evaluated block, which ends that pass
         assert set(certificate) == {25}
-        # the prefix table, then the children of each block visited: the
-        # visits stop once no bound reaches the best action
+        # in each pass, the prefix table, then the children of each block
+        # visited: the pass without the QoS test stops once no bound
+        # reaches the best action
         assert len(bounded) <= 21
 
-    def test_an_infeasible_instance_reorders_its_blocks_by_bound(self):
+    def test_an_infeasible_instance_finds_its_best_action_in_a_hopeless_block(self):
         # no action meets QoS, and the best action lies in a block that fails
-        # the per-block test while others pass it and are visited first; once
-        # the certificate rules QoS out, the rest go by descending bound
+        # the per-block test while others pass it: the QoS pass drops that
+        # block, and the pass without the QoS test finds the action there
         gains = random_gain_matrix(3, seed=12)
         thresholds = QosThresholds(mue=0.2, fue=(0.06, 0.01, 0.18))
         result = search_and_reference(gains, ActionSet(-20.0, 25.0, 40), thresholds, p_bs_mw=10.0)
