@@ -1,38 +1,39 @@
 """Exhaustive search over the joint discrete action space for small instances.
 
-Ground truth for near-optimality tests: enumerates every joint power
+Ground truth for near-optimality tests: searches every joint power
 assignment, evaluates the same link model as the simulator, and returns
 the feasible maximizer of the femto sum capacity (or the unconstrained
 maximizer, flagged infeasible, when no assignment meets the QoS).
 
-The enumeration runs in blocks. One ``(n**k, m)`` power block is built
-once: its last k columns hold every level combination of the last k
-agents, in lexicographic order, with k the largest count for which
-``n**k`` fits ``_CHUNK`` rows (at least 1, at most m). Each block then
-fixes the first ``m - k`` agents (the prefix) by filling only their columns.
+The search is a branch-and-bound over prefixes. A prefix fixes the
+levels of stations 0 to d-1, and its n children fix station d at each
+level, down to leaves that fix every station but the last: a leaf holds n
+joint actions. Capacities are monotone in the femto powers (Yates, IEEE
+JSAC 1995), so every prefix has upper bounds on each capacity under it,
+and on their femto sum, updated from its parent's (:class:`_Bounds`).
 
-The block stays row-major, one joint action a row, as the macro user's
+One pass runs at most twice: for QoS and then, only if no action meets
+QoS, without it. With QoS, a prefix whose macro or station bound falls
+below its threshold gets the bound -inf. A pass first descends a beam,
+the ``_BEAM`` prefixes with the best bounds at each depth, and evaluates
+their leaves; the best row, or with QoS the best row meeting it, is the
+incumbent. If the beam holds no such row, :func:`min_levels` is asked
+whether thresholds relaxed by ``_MARGIN`` can be met; if not, the QoS
+pass ends. Then the pass expands, from the root, every prefix whose bound
+reaches the incumbent: depth first, in pieces of at most ``n**k``
+children, k the largest with ``n**k <= _CHUNK`` (at least 1, at most m),
+by descending bound. The surviving leaves are evaluated in batches of at
+most ``n**k`` rows, each pruned again against the incumbent first.
+
+The batch is row-major, one joint action a row, as the macro user's
 matrix-vector product needs it; the femto-user capacities come back
-station-major, ``(m, n**k)`` (see ``channel.Links``), so each station's
-capacities over the block are one contiguous row. The femto sum capacity
+station-major, ``(m, rows)`` (see ``channel.Links``), so each station's
+capacities over the batch are one contiguous row. The femto sum capacity
 of each joint action is added station row by station row, in the order
 numpy's ``sum(axis=1)`` adds a row of the row-major layout (see
 :func:`_row_sums`), and the QoS mask is built a station row at a time:
 the objective, and so the maximizer and every tie, is the same to the
 last bit as a single ``sum(axis=1)`` over the whole enumeration.
-
-Most blocks are never evaluated. One loop runs at most twice. The QoS
-pass bounds each block (:func:`_block_bounds`), gives -inf to one whose
-macro or station bound falls below its threshold, and visits the rest by
-descending bound until none left reaches the best feasible action. A
-visited block is refined by one station first: its n children, its first
-suffix station fixed at each level, are bounded and tested the same way,
-and only the survivors' rows are evaluated, in one batch, in flat-index
-order. If the first block evaluated holds no feasible action,
-:func:`min_levels` is asked whether thresholds relaxed by ``_MARGIN`` can
-be met; if not, the QoS pass ends. Asked up front, it would cost about a
-quarter of the search where the first block holds the optimum. Only if
-the QoS pass finds nothing does the loop run again without the QoS test.
 
 The result is full enumeration's to the last bit; ``n_enumerated`` counts
 the space searched. Only the macro user's capacity depends on the batch an
@@ -52,6 +53,7 @@ from .channel import _LN2, ActionSet, Links
 from .reward import QosThresholds
 
 _CHUNK = 1 << 15
+_BEAM = 16  # prefixes kept per depth while the first incumbent is sought
 _MARGIN = 1.0 + 1e-9  # covers the last-bit roundings of the kernel and the bounds
 
 
@@ -81,16 +83,17 @@ def exhaustive_search(
     noise_mw: float,
     enumeration_cap: int = 10_000_000,
 ) -> OracleResult:
-    """Enumerate all joint power assignments and maximize femto sum capacity.
+    """Search all joint power assignments and maximize femto sum capacity.
 
-    The assignments are evaluated one block of ``n**k`` rows at a time,
-    in a QoS pass and, if it finds no feasible action, a pass without
-    (see the module docstring); a block with ``k = 1`` is larger than
-    ``_CHUNK`` when ``n_power`` is. Ties break to the lexicographically
-    smallest action-index vector: within a block by the first-index
-    argmax, across blocks by the smaller flat index. Raises
-    :class:`EnumerationCapExceeded` when ``n_power ** M`` exceeds the
-    cap, before anything is allocated.
+    A QoS pass and, if it finds no feasible action, a pass without, each
+    a beam and then a branch-and-bound over prefixes (see the module
+    docstring); a leaf of more than ``_CHUNK`` actions, when ``n_power``
+    is that large, is one batch. Ties break to the lexicographically
+    smallest action-index vector: in a batch, the smallest flat index
+    among the rows reaching the largest objective, and across batches the
+    incumbent ``(objective, -flat index)``, which a prefix whose bound
+    equals it can still beat. Raises :class:`EnumerationCapExceeded` when
+    ``n_power ** M`` exceeds the cap, before anything is allocated.
     """
     m = len(gains) - 1
     n = len(actions)
@@ -106,93 +109,106 @@ def exhaustive_search(
     links = Links(gains, p_bs_mw, noise_mw)
     q_fue = np.asarray(thresholds.fue)
     levels = actions.levels_mw
+    bounds = _Bounds(gains, levels, p_bs_mw, noise_mw)
 
-    def bound(prefixes, qos):
-        """The femto-sum bounds of ``(r, p)`` prefixes' blocks; with ``qos``, -inf if hopeless."""
-        station, macro = _block_bounds(gains, levels, prefixes, p_bs_mw, noise_mw)
-        upper = station.sum(axis=1)
-        if qos:
-            upper[(macro < thresholds.mue) | (station < q_fue).any(axis=1)] = -np.inf
-        return upper
-
-    # the last k agents vary inside a block, the first p = m - k are fixed
-    # per block; agent 0 is the most significant digit throughout
+    # a piece of prefixes has at most `rows` children, and a piece of
+    # leaves at most `rows` joint actions
     k = 1
     while k < m and n ** (k + 1) <= _CHUNK:
         k += 1
-    p = m - k
-    prefixes = levels[np.indices((n,) * p).reshape(p, n**p).T]
-    # one workspace for the block and the capacities written from it, so
-    # the block loop allocates no large array: glibc's malloc raises its
-    # mmap and trim thresholds to the largest chunk it has unmapped, and
-    # once it has unmapped this one, every later call and every smaller
-    # temporary reuses pages already mapped instead of faulting fresh ones
     rows = n**k
-    child_rows = rows // n
+    piece = rows // n
+    # one workspace for the batch and the capacities written from it, so
+    # the search allocates no large array per batch: glibc's malloc raises
+    # its mmap and trim thresholds to the largest chunk it has unmapped,
+    # and once it has unmapped this one, every later call and every smaller
+    # temporary reuses pages already mapped instead of faulting fresh ones
     work = np.empty((3 * m + 1) * rows)
     full = rows * m
-    block = work[:full].reshape(rows, m)
-    block[:, p:] = levels[np.indices((n,) * k).reshape(k, -1).T]
-    children = np.empty((n, p + 1))  # a visited block's prefix, then each level
-    children[:, p] = levels
 
-    def best(values, starts):
-        """The largest value and minus its flat index, the first of a tie.
+    def digits(flat, d):
+        """The ``(r, d)`` level indices of prefixes of d stations, given by flat index."""
+        return (flat[:, None] // n ** np.arange(d - 1, -1, -1)) % n
 
-        ``starts`` holds the flat index of each evaluated child's first row.
+    def expand(d, flat, qos):
+        """The flat indices and femto-sum bounds of the children of prefixes of d stations.
+
+        With ``qos``, a child whose macro or station bound falls below its
+        threshold gets -inf.
         """
-        i = int(np.argmax(values))
-        return float(values[i]), -int(starts[i // child_rows] + i % child_rows)
+        # a piece's children fit the workspace; the beam's need not, when
+        # a piece holds fewer than _BEAM prefixes
+        out = work if flat.size <= piece else None
+        station, macro = bounds.children(levels[digits(flat, d)], out=out)
+        upper = station.sum(axis=1)
+        if qos:
+            upper[(macro < thresholds.mue) | (station < q_fue).any(axis=1)] = -np.inf
+        return (flat[:, None] * n + np.arange(n)).ravel(), upper
+
+    def evaluate(flat, qos, incumbent):
+        """The incumbent after the rows of the leaves at ``flat``, in one batch.
+
+        With ``qos``, a row counts only if it meets QoS. Without, it runs
+        only when the QoS pass has found none, so one meeting QoS is an error.
+        """
+        size = flat.size * n
+        block = work[: size * m].reshape(flat.size, n, m)
+        block[:, :, :-1] = levels[digits(flat, m - 1)][:, None]
+        block[:, :, -1] = levels
+        c_fue, signal = (work[i * full : i * full + size * m].reshape(m, size) for i in (1, 2))
+        c_mue = work[3 * full : 3 * full + size]
+        links.capacities(block.reshape(size, m), out=(c_mue, c_fue, signal))
+        values = _row_sums(c_fue)
+        # the femto comparisons only matter where the macro user is served
+        feasible = c_mue >= thresholds.mue
+        if feasible.any():
+            for j in range(m):
+                feasible &= c_fue[j] >= q_fue[j]
+        if not qos:
+            if feasible.any():
+                raise RuntimeError("an action meets QoS that the QoS pass certified infeasible")
+        elif feasible.any():
+            values = np.where(feasible, values, -np.inf)
+        else:
+            return incumbent
+        # the largest value, and of the rows reaching it the smallest flat index
+        index = (flat[:, None] * n + np.arange(n)).ravel()
+        tied = np.flatnonzero(values == values.max())
+        i = tied[np.argmin(index[tied])]
+        return max(incumbent, (float(values[i]), -int(index[i])))
 
     def search(qos):
         """One pass's best action as ``(objective, -flat index)``, a tie to the smaller index.
 
-        With ``qos``, the best meeting QoS, or ``None``. Without, the best
-        of all; it runs only when the QoS pass has found none, so one
-        meeting QoS is an error. The incumbent starts below every objective
-        and above every hopeless bound.
+        With ``qos``, the best meeting QoS, or ``None``. The incumbent
+        starts below every objective and above every hopeless bound.
         """
-        upper = bound(prefixes, qos)
         incumbent = (-np.finfo(float).max, 1)  # 1: no action yet
-        certify = qos
-        for b in np.argsort(-upper, kind="stable").tolist():
-            if upper[b] < incumbent[0]:
-                break
-            # the block's n children, its first suffix station at each level,
-            # face the same test; the survivors' rows are evaluated together,
-            # in flat-index order, so a tie still goes to the smaller index
-            children[:, :p] = prefixes[b]
-            kept = np.flatnonzero(bound(children, qos) >= incumbent[0])
-            if not kept.size:
-                continue
-            size = kept.size * child_rows
-            # one scalar fill per prefix column: a (p,) row broadcast into the
-            # strided prefix columns costs several times more
-            for j in range(p):
-                block[:size, j] = prefixes[b, j]
-            block[:size, p].reshape(kept.size, child_rows)[:] = levels[kept, None]
-            c_fue, signal = (work[i * full : i * full + size * m].reshape(m, size) for i in (1, 2))
-            c_mue = work[3 * full : 3 * full + size]
-            links.capacities(block[:size], out=(c_mue, c_fue, signal))
-            sums = _row_sums(c_fue)
-
-            starts = b * rows + kept * child_rows
-            # the femto comparisons only matter where the macro user is served
-            feasible = c_mue >= thresholds.mue
-            if feasible.any():
-                for j in range(m):
-                    feasible &= c_fue[j] >= q_fue[j]
-            if not qos:
-                if feasible.any():
-                    raise RuntimeError("an action meets QoS that the QoS pass certified infeasible")
-                incumbent = max(incumbent, best(sums, starts))
-            elif feasible.any():
-                incumbent = max(incumbent, best(np.where(feasible, sums, -np.inf), starts))
-            elif certify and (
-                min_levels(links, levels, q_fue / _MARGIN, thresholds.mue / _MARGIN) is None
-            ):
+        flat = np.zeros(1, dtype=np.int64)
+        for d in range(m - 1):
+            flat, upper = expand(d, flat, qos)
+            beam = np.argsort(-upper)[:_BEAM]
+            flat = flat[beam[upper[beam] > -np.inf]]
+        for i in range(0, flat.size, piece):
+            incumbent = evaluate(flat[i : i + piece], qos, incumbent)
+        if qos and incumbent[1] > 0:
+            if min_levels(links, levels, q_fue / _MARGIN, thresholds.mue / _MARGIN) is None:
                 return None  # not even thresholds relaxed by _MARGIN can be met
-            certify = False
+        # depth first from the root, the best piece of each expansion first
+        stack = [(0, np.zeros(1, dtype=np.int64), np.full(1, np.inf))]
+        while stack:
+            d, flat, upper = stack.pop()
+            flat = flat[upper >= incumbent[0]]
+            if not flat.size:
+                continue
+            if d == m - 1:
+                incumbent = evaluate(flat, qos, incumbent)
+                continue
+            flat, upper = expand(d, flat, qos)
+            order = np.argsort(-upper)
+            flat, upper = flat[order], upper[order]
+            for i in reversed(range(0, flat.size, piece)):
+                stack.append((d + 1, flat[i : i + piece], upper[i : i + piece]))
         return incumbent if incumbent[1] <= 0 else None
 
     found = search(qos=True)
@@ -246,33 +262,67 @@ def min_levels(
     return tuple(action.tolist()) if c_mue[action[-1]] >= q_mue else None
 
 
-def _block_bounds(
-    gains: np.ndarray, levels: np.ndarray, prefixes: np.ndarray, p_bs_mw: float, noise_mw: float
-):
-    """Capacity bounds ``(r, m)`` and ``(r,)`` over the blocks of ``r`` prefixes ``(r, p)``.
+class _Bounds:
+    """Capacity bounds over the joint actions under each prefix, from its parent's sums.
 
-    A block holds every action whose first p stations are at its prefix's
-    levels, given in mW. Capacities are monotone in the femto powers (Yates,
-    IEEE JSAC 1995): a bound puts a suffix station's own power at the top
-    level and the suffix interferers at the bottom. It adds only
-    non-negative products, less the few roundings by which the kernel's
-    subtraction of the own signal can read the interference low; if it
-    cannot be computed, or p is 0, it is +inf.
+    A prefix fixes the first d stations at given levels, in mW.
+    Capacities are monotone in the femto powers (Yates, IEEE JSAC 1995): a
+    bound puts a free station's own power at the top level and the free
+    interferers at the bottom. It adds only non-negative products, less the
+    few roundings by which the kernel's subtraction of the own signal can
+    read the interference low; if it cannot be computed, it is +inf. What
+    does not depend on the prefix is computed once, here: for each depth,
+    the free stations' interference at the bottom level, plus the macro
+    station's and the noise, less that slack.
     """
-    m, (r, p) = len(gains) - 1, prefixes.shape
-    if p == 0:  # the whole space, which nothing can prune
-        return np.full((r, m), np.inf), np.full(r, np.inf)
-    g, low, top = gains[1:, 1:], levels[0], levels[-1]
-    cross = g * (1.0 - np.eye(m))
-    signal = np.hstack((prefixes, np.full((r, m - p), top))) * np.diag(g)
-    rest = p_bs_mw * gains[0, 1:] + noise_mw
-    with np.errstate(all="ignore"):
-        den = prefixes @ cross[:p] + low * cross[p:].sum(axis=0) + rest
-        den -= 2 * (m + 5) * np.finfo(float).eps * (top * g.sum(axis=0) + rest)
-        station = np.where(den > 0.0, np.log1p(signal / den) / _LN2, np.inf) * _MARGIN
-        den = prefixes @ gains[1 : p + 1, 0] + low * gains[p + 1 :, 0].sum() + noise_mw
-        macro = np.log1p(p_bs_mw * gains[0, 0] / den) / _LN2 * _MARGIN
-    return station, macro
+
+    def __init__(self, gains: np.ndarray, levels: np.ndarray, p_bs_mw: float, noise_mw: float):
+        m = len(gains) - 1
+        g, low, top = gains[1:, 1:], levels[0], levels[-1]
+        self.levels = levels
+        self.cross = g * (1.0 - np.eye(m))
+        self.serve = np.diag(g)
+        self.to_mue = gains[1:, 0]
+        self.top_signal = top * self.serve
+        self.mue_signal = p_bs_mw * gains[0, 0]
+        rest = p_bs_mw * gains[0, 1:] + noise_mw
+        with np.errstate(all="ignore"):
+            slack = 2 * (m + 5) * np.finfo(float).eps * (top * g.sum(axis=0) + rest)
+            # row d: stations d to m-1 at the bottom level, row m: none
+            free = np.vstack((np.cumsum(self.cross[::-1], axis=0)[::-1], np.zeros(m)))
+            self.femto_rest = low * free + rest - slack
+            free = np.append(np.cumsum(self.to_mue[::-1])[::-1], 0.0)
+            self.macro_rest = low * free + noise_mw
+
+    def children(self, prefixes: np.ndarray, out: np.ndarray | None = None) -> tuple:
+        """Station bounds ``(r*n, m)`` and macro bounds ``(r*n,)`` of the children of prefixes.
+
+        ``prefixes`` is ``(r, d)``, d < m; child ``i*n + l`` adds station d
+        at level l to prefix i. A child's partial interference is its
+        parent's plus that one station's, so each bound is one elementwise
+        pass over the children. ``out``, a contiguous buffer of at least
+        ``r*n*m`` floats, holds the station bounds instead of a new array.
+        """
+        (r, d), n, m = prefixes.shape, len(self.levels), len(self.serve)
+        signal = np.empty((r, m))
+        signal[:, :d] = prefixes * self.serve[:d]
+        signal[:, d:] = self.top_signal[d:]
+        den = np.empty((r, n, m)) if out is None else out[: r * n * m].reshape(r, n, m)
+        with np.errstate(all="ignore"):
+            femto = prefixes @ self.cross[:d]
+            femto += self.femto_rest[d + 1]
+            np.add(femto[:, None], self.levels[:, None] * self.cross[d], out=den)
+            lost = ~(den > 0.0)
+            own = self.levels * self.serve[d] / den[:, :, d]
+            station = np.divide(signal[:, None], den, out=den)
+            station[:, :, d] = own
+            np.log1p(station, out=station)
+            station /= _LN2
+            station[lost] = np.inf
+            station *= _MARGIN
+            macro = (prefixes @ self.to_mue[:d] + self.macro_rest[d + 1])[:, None]
+            macro = np.log1p(self.mue_signal / (macro + self.levels * self.to_mue[d])) / _LN2
+        return station.reshape(r * n, m), macro.ravel() * _MARGIN
 
 
 def _row_sums(c: np.ndarray) -> np.ndarray:
@@ -283,9 +333,8 @@ def _row_sums(c: np.ndarray) -> np.ndarray:
     row would: left to right below 8 stations; from 8 on, 8 running sums
     combined as ((0+1)+(2+3))+((4+5)+(6+7)) before the tail. Only the sign
     of an all-zero sum can differ (numpy starts from +0.0). Numpy splits a
-    row of more than 128 in halves, but no search gets there: at least
-    2**129 joint actions pass any allowed cap, and their prefix table would
-    need more than 64 dimensions.
+    row of more than 128 in halves, but no search gets there: 129 stations
+    have at least 2**129 joint actions, far past any allowed cap.
     """
     n = c.shape[0]
     if n < 8:

@@ -332,12 +332,12 @@ class TestLinks:
             assert np.float64(c_mue).tobytes() == np.float64(expected_mue).tobytes()
             assert c_fue.tobytes() == expected_fue.tobytes()
 
-    # (m, rows): batches the oracle evaluates. A whole block holds n**k
+    # (m, rows): batches the oracle evaluates. A batch holds at most n**k
     # rows, k the most stations, at most m, whose n**k is at most 2**15:
     # 31 levels at m <= 4 (and 15, as in the golden oracle digest), 25 at
-    # m=5, then 9, 6, 5, 4 and 3. The survivors among a block's n children
-    # hold any multiple of n**(k-1) rows up to it, down to one action at
-    # k=1. The feasibility certificate evaluates (n, m) batches.
+    # m=5, then 9, 6, 5, 4 and 3. It holds whole leaves of n actions, so
+    # any multiple of n up to n**k. The feasibility certificate evaluates
+    # (n, m) batches.
     @pytest.mark.parametrize(
         "m, rows",
         [(1, 31), (2, 961), (3, 29791), (4, 29791), (4, 3375), (5, 15625), (6, 6561),

@@ -101,8 +101,7 @@ def test_custom_reward_stays_with_its_run(tmp_path):
 
 
 # 15^4 = 50,625 joint actions, more than 2^15: the largest power of 15 that
-# fits 2^15 is 15^3, so the first station is one prefix column ahead of a
-# block over the last three
+# fits 2^15 is 15^3, so the search cannot take the space in one batch
 ORACLE_CONFIG = dict(
     m_max=4,
     seed_agents=2,
@@ -114,7 +113,7 @@ ORACLE_CONFIG = dict(
 )
 ORACLE_GOLDEN = "a5601b25db7c367077f288bc3383dd00dcef074fbba6ae8a7c63f27781b7254a"
 
-# 9^6 = 531,441 joint actions: two prefix columns ahead of a 9^4 block
+# 9^6 = 531,441 joint actions: 81 times a batch of at most 9^4 rows
 ORACLE_CONFIG_TWO_PREFIXES = dict(ORACLE_CONFIG, m_max=6, n_power=9)
 ORACLE_GOLDEN_TWO_PREFIXES = "f0af482ab0091bad4c165ac2a8eb382a7f2f5b41df439f06ca84a8529cd038ff"
 
@@ -142,7 +141,7 @@ def test_oracle_result_digest_two_prefix_columns(tmp_path):
 
 # sha256 of the OracleResult reprs, one a line, of the default scenario cut
 # to 4 stations and 31 levels at seeds 1-10: 31^4 = 923,521 joint actions
-# each, a 31^3 block per level of the first station
+# each, 31 times a batch of at most 31^3 rows
 ORACLE_REPRS_GOLDEN = "38461e055ba177b488d024a7a57c56d9257c1df9be198a5468829ea1c49d80db"
 
 

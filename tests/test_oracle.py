@@ -17,7 +17,7 @@ from femtoq.coordinator import Simulation
 from femtoq.oracle import (
     _CHUNK,
     EnumerationCapExceeded,
-    _block_bounds,
+    _Bounds,
     _row_sums,
     exhaustive_search,
     min_levels,
@@ -270,14 +270,14 @@ class TestBlockEnumeration:
 
     @pytest.mark.parametrize("mue", [1e-9, 1e6], ids=["feasible", "infeasible"])
     def test_ties_across_blocks_go_to_the_smallest_action(self, mue):
-        # 15^3 <= 2^15 < 15^4: one block per level of the first station
+        # 15^3 <= 2^15 < 15^4: batches of at most 225 leaves of 15 actions
         assert 15**3 <= _CHUNK < 15**4
         gains = np.ones((5, 5))
         actions = ActionSet(-20.0, 25.0, 15)
         thresholds = QosThresholds(mue=mue, fue=(1e-9,) * 4)
 
         # unit symmetric gains: permutations of the optimum tie exactly,
-        # and the tied actions fall in more than one block
+        # and the tied actions fall under more than one first-station prefix
         digits = np.indices((15,) * 4).reshape(4, -1).T
         _, c_fue = batch_capacities(gains, 1.0, NOISE, actions.levels_mw[digits])
         sums = c_fue.sum(axis=1)
@@ -288,7 +288,7 @@ class TestBlockEnumeration:
         assert result.best_action == tied[0]
 
     def test_levels_beyond_one_chunk_form_one_block(self):
-        # m=1 with more levels than _CHUNK: k=1, one block of n rows; the
+        # m=1 with more levels than _CHUNK: k=1, one leaf of n rows; the
         # femto capacity rises with its own power, so the last level wins
         n = _CHUNK + 5
         gains = random_gain_matrix(1, seed=11)
@@ -300,15 +300,24 @@ class TestBlockEnumeration:
 
     @pytest.mark.parametrize("m, n", [(3, 20), (2, 181), (2, 182)])
     def test_space_around_one_chunk(self, m, n):
-        # 20^3 and 181^2 fit _CHUNK (one block, no prefix column); 182^2
-        # does not (k=1, a block per level of the first station)
+        # 20^3 and 181^2 fit _CHUNK (one batch holds every leaf); 182^2
+        # does not (k=1, one leaf of 182 rows a batch)
         gains = random_gain_matrix(m, seed=m * n)
         actions = ActionSet(-20.0, 25.0, n)
         thresholds = QosThresholds(mue=0.5, fue=(0.5,) * m)
         search_and_reference(gains, actions, thresholds, p_bs_mw=10.0)
 
+    @pytest.mark.parametrize("level", ["loose", "mid", "impossible"])
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_a_beam_wider_than_a_piece(self, monkeypatch, m, level):
+        # 5^2 > 8: batches of one leaf, and pieces of one prefix, while the
+        # beam expands up to _BEAM prefixes at once
+        monkeypatch.setattr(oracle, "_CHUNK", 8)
+        gains, actions, thresholds = grid_instance(m, 5, level, seed=0)
+        search_and_reference(gains, actions, thresholds, p_bs_mw=10.0)
+
     def test_cap_raised_before_any_block(self):
-        # a 31^3-row block over 15 stations would take 3.6 MB
+        # a 31^3-row batch over 15 stations would take 3.6 MB
         gains = random_gain_matrix(15, seed=3)
         actions = ActionSet(-20.0, 25.0, 31)
         thresholds = QosThresholds(mue=1.0, fue=(1.0,) * 15)
@@ -322,10 +331,63 @@ class TestBlockEnumeration:
         assert peak < 64 * 1024
 
 
+def traced_peak(search_call):
+    """The result of ``search_call()`` and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = search_call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestMemory:
+    """Peak traced memory of one search, against the batch workspace the search keeps.
+
+    The workspace is ``(3m + 1) n**k`` floats, k the largest with
+    ``n**k <= _CHUNK``: a batch, its femto capacities and scratch, and its
+    macro capacities.
+    """
+
+    MARGIN = 1 << 20
+
+    @staticmethod
+    def workspace(m, n):
+        k = max(k for k in range(1, m + 1) if k == 1 or n**k <= _CHUNK)
+        return (3 * m + 1) * n**k * 8
+
+    def test_oracle_m5_scenario(self):
+        # the pruned search holds few prefixes beside the workspace
+        sim = Simulation(ScenarioConfig(m_max=5, n_power=25))
+        result, peak = traced_peak(lambda: search(sim))
+        assert result.feasible
+        assert peak < self.workspace(5, 25) + self.MARGIN
+
+    def test_an_instance_where_nothing_prunes(self, monkeypatch):
+        # levels 1e-9 dB apart: every capacity lies within the bounds'
+        # 1e-9 relative margin of every other, so no bound falls below an
+        # incumbent, and no action meets the thresholds; 6^7 actions, so
+        # both the prefixes of 5 stations (6^5 = 7776) and the leaves are
+        # expanded and evaluated in pieces of at most 6^5
+        m, n = 7, 6
+        gains = np.ones((m + 1, m + 1))
+        thresholds = QosThresholds(mue=1e6, fue=(1e6,) * m)
+        calls, _ = count_batches(monkeypatch)
+        result, peak = traced_peak(
+            lambda: exhaustive_search(
+                gains, ActionSet(0.0, 1e-9, n), thresholds, p_bs_mw=1.0, noise_mw=NOISE
+            )
+        )
+        assert not result.feasible
+        assert sum(calls) >= n**m
+        assert peak < self.workspace(m, n) + self.MARGIN
+
+
 def enumerate_capacities(links, actions, m):
     """Every joint action's digits ``(n**m, m)`` and capacities, as one row-major ``Links`` batch.
 
-    Row-major as the search's blocks are: over a column-major batch the
+    Row-major as the search's batches are: over a column-major batch the
     macro user's capacities round differently in the last bit.
     """
     digits = np.indices((len(actions),) * m).reshape(m, -1).T
@@ -356,7 +418,7 @@ class TestCertificate:
                 marks=pytest.mark.xfail(
                     reason="from 8 stations BLAS rounds the macro user's product for the last "
                     "(rows mod 4) rows of a batch differently, so the certificate's 3-row "
-                    "batches can read c_mue(a*) one ulp below the search's blocks",
+                    "batches can read c_mue(a*) one ulp below the search's batches",
                     strict=False,
                 ),
             ),
@@ -406,8 +468,8 @@ class TestCertificate:
 def count_batches(monkeypatch) -> tuple[list, list]:
     """The rows of each batch ``Links.capacities`` call from now on, as (search, certificate).
 
-    The search makes one call per evaluated block, on the rows of the
-    children its bounds leave; the calls of ``min_levels`` are counted apart.
+    The search makes one call per batch of leaves its bounds leave, n
+    rows each; the calls of ``min_levels`` are counted apart.
     """
     search, certificate = [], []
     capacities = Links.capacities
@@ -427,10 +489,26 @@ def within(values, bounds):
     return bool(np.all((values <= bounds) | (bounds == np.inf)))
 
 
+def children_at_every_depth(gains, levels, p_bs_mw, noise_mw):
+    """``_Bounds.children`` of every prefix of d - 1 stations, for d = 1..m, by depth d.
+
+    The children of depth d are every prefix of d stations in lexicographic
+    order, so joint action i lies under child ``i // n**(m - d)``.
+    """
+    m, n = len(gains) - 1, len(levels)
+    bounds = _Bounds(gains, levels, p_bs_mw, noise_mw)
+    digits = np.indices((n,) * m).reshape(m, -1).T
+    for d in range(1, m + 1):
+        station, macro = bounds.children(levels[digits[:: n ** (m - d + 1), : d - 1]])
+        yield np.arange(n**m) // n ** (m - d), station, macro
+
+
 class TestBlockBounds:
+    """The bounds over each block of actions sharing a prefix, one depth below its parent."""
+
     @settings(max_examples=50, deadline=None)
     @given(
-        m=st.integers(2, 4),
+        m=st.integers(2, 5),
         n=st.integers(2, 5),
         data=st.data(),
     )
@@ -451,11 +529,8 @@ class TestBlockBounds:
         with np.errstate(divide="ignore", invalid="ignore"):
             c_mue, c_fue = Links(gains, p_bs_mw, noise_mw).capacities(levels[digits])
             sums = _row_sums(c_fue)
-        # p = m bounds single actions, as the children of a one-station block are
-        for p in range(m + 1):
-            prefixes = levels[digits[:: n ** (m - p), :p]]
-            station, macro = _block_bounds(gains, levels, prefixes, p_bs_mw, noise_mw)
-            block = np.arange(n**m) // n ** (m - p)
+        # depth m bounds single actions, one station below the leaves
+        for block, station, macro in children_at_every_depth(gains, levels, p_bs_mw, noise_mw):
             assert within(c_fue.T, station[block])
             assert within(sums, station.sum(axis=1)[block])
             assert within(c_mue, macro[block])
@@ -470,14 +545,12 @@ class TestBlockBounds:
         with np.errstate(divide="ignore"):
             _, c_fue = Links(gains, 1e-15, 1e-30).capacities(levels[digits])
         assert c_fue[0, 2] > capacity_bps_hz(levels[1] / (levels[0] * 1.5e-16 + 1e-30))
-        for p in range(3):
-            prefixes = levels[digits[:: 2 ** (2 - p), :p]]
-            station, _ = _block_bounds(gains, levels, prefixes, 1e-15, 1e-30)
-            assert within(c_fue.T, station[np.arange(4) // 2 ** (2 - p)])
+        for block, station, _ in children_at_every_depth(gains, levels, 1e-15, 1e-30):
+            assert within(c_fue.T, station[block])
 
 
 class TestPruning:
-    # 40^2 <= _CHUNK < 40^3: one block per level of the first station
+    # 40^2 <= _CHUNK < 40^3: batches of at most 40 leaves of 40 actions
     def test_optimum_in_the_first_block(self, monkeypatch):
         # station 0 serves its own user badly and drowns the others
         gains = weakly_coupled(3, seed=0)
@@ -497,11 +570,11 @@ class TestPruning:
 
     @pytest.mark.parametrize("mue", [1e-9, 1e6], ids=["feasible", "infeasible"])
     def test_a_tie_in_a_block_whose_bound_equals_the_incumbent(self, monkeypatch, mue):
-        # symmetric unit gains, as in the tie test above; the block holding
-        # the smallest tied action, and its child holding it, get a bound
-        # equal to its sum, so the block is visited after later tied blocks,
-        # whose bounds are above it, and only a search that still evaluates a
-        # bound equal to the incumbent finds it
+        # symmetric unit gains, as in the tie test above; every prefix of the
+        # smallest tied action gets a bound equal to its sum, below the
+        # bounds of the other tied actions' prefixes, so the search meets a
+        # tied action first, and only a search that still expands and
+        # evaluates a bound equal to the incumbent finds the smallest
         gains = np.ones((5, 5))
         actions = ActionSet(-20.0, 25.0, 15)
         thresholds = QosThresholds(mue=mue, fue=(0.0,) * 4)
@@ -511,14 +584,16 @@ class TestPruning:
         smallest = actions.levels_mw[digits[np.argmax(sums)]]
         first = int(np.argmax(sums)) // 15**3
         assert np.any(sums[(first + 1) * 15**3 :] == sums.max())
+        children = _Bounds.children
 
-        def tight(gains, levels, prefixes, *args):
-            station, macro = _block_bounds(gains, levels, prefixes, *args)
-            holds_it = (prefixes == smallest[: prefixes.shape[1]]).all(axis=1)
-            station[holds_it] = (sums.max(), 0.0, 0.0, 0.0)
+        def tight(self, prefixes, out=None):
+            station, macro = children(self, prefixes, out)
+            r, d = prefixes.shape
+            child = np.hstack((np.repeat(prefixes, 15, axis=0), np.tile(self.levels, r)[:, None]))
+            station[(child == smallest[: d + 1]).all(axis=1)] = (sums.max(), 0.0, 0.0, 0.0)
             return station, macro
 
-        monkeypatch.setattr(oracle, "_block_bounds", tight)
+        monkeypatch.setattr(_Bounds, "children", tight)
         result = search_and_reference(gains, actions, thresholds, p_bs_mw=1.0)
         assert result.best_action[0] == first
 
@@ -534,17 +609,18 @@ class TestPruning:
         thresholds = QosThresholds(mue=float(c_mue[row]), fue=tuple(c_fue[row].tolist()))
         assert search_and_reference(gains, actions, thresholds, p_bs_mw=10.0).feasible
 
-    def test_oracle_m5_scenario_evaluates_a_quarter_of_the_blocks(self, monkeypatch):
-        # the benchmark's 25^5-action scenario: 625 blocks of 25^3 actions,
-        # each evaluated on the survivors among its 25 children of 25^2
+    def test_oracle_m5_scenario_evaluates_within_a_row_budget(self, monkeypatch):
+        # the benchmark's 25^5-action scenario: leaves of 25 actions, in
+        # batches of at most 25^3 rows, the beam's 16 leaves first
         sim = Simulation(ScenarioConfig(m_max=5, n_power=25))
         calls, certificate = count_batches(monkeypatch)
         result = search(sim)
         assert result.feasible and result.n_enumerated == 25**5
-        assert all(rows % 25**2 == 0 and rows <= 25**3 for rows in calls)
-        assert len(calls) <= 625 // 4
-        assert sum(calls) <= 200_000
-        # the first block holds a feasible action, so the certificate never runs
+        assert all(rows % 25 == 0 and rows <= 25**3 for rows in calls)
+        assert calls[0] == 16 * 25
+        assert len(calls) <= 4
+        assert sum(calls) <= 20_000
+        # the beam holds a feasible action, so the certificate never runs
         assert certificate == []
 
     @pytest.mark.parametrize("seed", [2, 3])
@@ -553,39 +629,47 @@ class TestPruning:
         sim = Simulation(first_admitted(ScenarioConfig(seed=seed, m_max=8, n_power=25), 5))
         calls, certificate = count_batches(monkeypatch)
         bounded = []
+        children = _Bounds.children
 
-        def counted(*args):
-            bounded.append(len(args[2]))
-            return _block_bounds(*args)
+        def counted(self, prefixes, out=None):
+            bounded.append(len(prefixes))
+            return children(self, prefixes, out)
 
-        monkeypatch.setattr(oracle, "_block_bounds", counted)
+        monkeypatch.setattr(_Bounds, "children", counted)
         assert not search(sim).feasible
-        assert len(calls) <= 20
+        assert len(calls) <= 8
         # one (n, m) batch per station in each sweep, after the QoS pass's
-        # first evaluated block, which ends that pass
+        # beam, which holds no feasible action and so ends that pass
         assert set(certificate) == {25}
-        # in each pass, the prefix table, then the children of each block
-        # visited: the pass without the QoS test stops once no bound
+        # in each pass, one call per depth of the beam, then one per piece
+        # expanded: the pass without the QoS test stops once no bound
         # reaches the best action
-        assert len(bounded) <= 21
+        assert len(bounded) <= 16
 
     def test_an_infeasible_instance_finds_its_best_action_in_a_hopeless_block(self):
-        # no action meets QoS, and the best action lies in a block that fails
-        # the per-block test while others pass it: the QoS pass drops that
-        # block, and the pass without the QoS test finds the action there
+        # no action meets QoS, and the best action lies under a prefix that
+        # fails the QoS bound test while others pass it: the QoS pass drops
+        # that prefix, and the pass without the QoS test finds the action there
         gains = random_gain_matrix(3, seed=12)
         thresholds = QosThresholds(mue=0.2, fue=(0.06, 0.01, 0.18))
         result = search_and_reference(gains, ActionSet(-20.0, 25.0, 40), thresholds, p_bs_mw=10.0)
         assert not result.feasible and result.best_action == (0, 0, 39)
 
     def test_a_feasible_action_under_an_infeasible_certificate_is_an_error(self, monkeypatch):
-        # a feasible instance whose first block holds no feasible action, so
-        # the search asks the certificate, here one that answers wrongly; a
-        # later block, visited on its bound alone, holds a feasible action
-        gains, actions, thresholds = grid_instance(4, 14, "mid", seed=1)
-        monkeypatch.setattr(oracle, "min_levels", lambda *args: None)
+        # thresholds at 0.9 of the unconstrained optimum's capacities: the
+        # beam holds no action meeting them, so the search asks the
+        # certificate, here one that answers wrongly; the pass without the
+        # QoS test then evaluates the optimum, which meets them
+        gains, actions = random_gain_matrix(4, seed=17), ActionSet(-20.0, 25.0, 8)
+        best = one_shot_oracle(gains, actions, loose(4), p_bs_mw=10.0, noise_mw=NOISE)
+        thresholds = QosThresholds(
+            mue=0.9 * best.c_mue, fue=tuple(0.9 * c for c in best.fue_capacities)
+        )
+        asked = []
+        monkeypatch.setattr(oracle, "min_levels", lambda *args: asked.append(args))
         with pytest.raises(RuntimeError, match="certified infeasible"):
             exhaustive_search(gains, actions, thresholds, p_bs_mw=10.0, noise_mw=NOISE)
+        assert len(asked) == 1
 
 
 def search(sim):
