@@ -234,6 +234,16 @@ class DensityStep:
     puts each generator back to where k per-iteration draws leave it; from
     the horizon on, the construction's draws already left it there.
 
+    An iteration on which no agent explores plays the greedy actions, so the
+    gather of the row maxima also gives the entries the update starts from.
+    An iteration whose joint action equals that of this step's previous
+    ``step`` call returns that call's ``c_mue, c_fue, rewards`` objects
+    instead of evaluating the capacities and the reward again. The one slot
+    is keyed by the whole joint action, so ``step(i)`` still returns a
+    function of the Q buffer and ``i``, whatever the order of the calls, as
+    long as the reward is a pure function of its arguments. Callers must not
+    write into the arrays ``step`` returns; ``run`` copies them.
+
     After the update, each group's rows are replaced by their mean: the
     sum over the group's ``k`` rows, padding included, over its size. That
     is ``np.mean`` over the members' rows (``tests/reference.share_active_rows``)
@@ -308,6 +318,8 @@ class DensityStep:
             self._flags[:, i], self._draws[:, i] = explore_draws(
                 rng, self._epsilon, n_actions, h
             )
+        self._explores = self._flags.any(axis=1).tolist()
+        self._key = None  # the joint action whose evaluation ``_last`` holds
 
     @property
     def q(self) -> np.ndarray:
@@ -324,15 +336,23 @@ class DensityStep:
         actions = buf.argmax(axis=1)
         if self._shared:
             actions = actions[self._row]
-        row_max = flat[self._row_start + actions]
-        if iteration < self._explore_until:
-            np.copyto(actions, self._draws[iteration], where=self._flags[iteration])
-
-        c_mue, c_fue = self._capacities(self._levels_mw[actions])
-        rewards = self._reward_fn(c_fue, c_mue, self._proximity, self._fue_thresholds, self._q_mue)
-
         pos = self._row_start + actions
-        old = flat[pos]
+        row_max = old = flat[pos]
+        if iteration < self._explore_until and self._explores[iteration]:
+            np.copyto(actions, self._draws[iteration], where=self._flags[iteration])
+            pos = self._row_start + actions
+            old = flat[pos]
+
+        key = actions.tobytes()
+        if key == self._key:
+            c_mue, c_fue, rewards = self._last
+        else:
+            c_mue, c_fue = self._capacities(self._levels_mw[actions])
+            rewards = self._reward_fn(
+                c_fue, c_mue, self._proximity, self._fue_thresholds, self._q_mue
+            )
+            self._key, self._last = key, (c_mue, c_fue, rewards)
+
         new = self._keep * old + self._alpha * (rewards + self._gamma * row_max)
         if self._shared:
             before = buf.copy()
@@ -412,12 +432,15 @@ class Simulation:
     gain outside (0, 1]) or whose largest SINR or Q-value can pass float
     range raises a ``ConfigError`` naming its YAML keys.
 
-    ``reward_fn`` is called once per iteration as ``reward_fn(c_fue, c_mue,
-    proximity, q_fue, q_mue)``: the active agents' femto capacities, the
-    macro capacity, the agents' proximity ratios and femto QoS thresholds
-    as ``(m,)`` arrays in agent order, then the macro threshold. It returns
-    the ``(m,)`` float array of rewards. It belongs to this run only; by
-    default it is ``REWARDS[config.reward_name]`` with the config's
+    ``reward_fn`` is called as ``reward_fn(c_fue, c_mue, proximity, q_fue,
+    q_mue)``: the active agents' femto capacities, the macro capacity, the
+    agents' proximity ratios and femto QoS thresholds as ``(m,)`` arrays in
+    agent order, then the macro threshold. It returns the ``(m,)`` float
+    array of rewards and must be a pure function of its arguments: a density
+    step calls it on its first iteration and then only on the iterations
+    whose joint action differs from the previous one's, reusing the last
+    result in between. It belongs to this run only; by default it is
+    ``REWARDS[config.reward_name]`` with the config's
     ``mue_capacity_exponent``.
     """
 

@@ -279,9 +279,10 @@ class SharingGroups:
 class LoopDensityStep:
     """``coordinator.DensityStep`` drawing per iteration and sharing by a padded gather.
 
-    The learning loop before the horizon's draws moved to construction and
-    the grouped buffer layout, kept as the oracle those must equal bit for
-    bit.
+    The learning loop before the horizon's draws moved to construction,
+    the grouped buffer layout and the reuse of the last evaluation, kept as
+    the oracle those must equal bit for bit: it evaluates the capacities
+    and the reward on every iteration.
 
     The agents' rows of ``Simulation.q`` are gathered into an
     ``(m + 1, n_power)`` buffer whose last row stays zero (the padding

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from femtoq import coordinator
-from femtoq.channel import dbm_to_mw
+from femtoq.channel import Links, dbm_to_mw
 from femtoq.cli import write_run_artifacts
 from femtoq.config import ScenarioConfig
 from femtoq.coordinator import (
@@ -314,17 +314,25 @@ class TestDensityStep:
         DensityStep(sim, [sim.agents[0], sim.agents[2]], sharing=False)  # other rows are fine
 
     def test_non_finite_entry_raises_on_its_iteration(self):
-        calls = iter(range(10))
+        # one station, so its capacity picks out the joint action: the reward
+        # is inf on the first action played after the greedy one, else 1
+        def reward_for(target):
+            return lambda c_fue, *_: np.where(c_fue == target, np.inf, 1.0)
 
-        def reward_fn(c_fue, *_):
-            return np.full_like(c_fue, np.inf if next(calls) == 4 else 1.0)
+        twin = Simulation(tiny_config(), reward_fn=reward_for(None))
+        played = DensityStep(twin, [twin.agents[0]], sharing=False)
+        capacities = [played.step(it)[2][0] for it in range(300)]
+        first = next(it for it, c in enumerate(capacities) if c != capacities[0])
+        assert first > 1  # the greedy action's evaluation is reused before it
 
-        sim = Simulation(tiny_config(), reward_fn=reward_fn)
+        sim = Simulation(tiny_config(), reward_fn=reward_for(capacities[first]))
         step = DensityStep(sim, [sim.agents[0]], sharing=False)
-        for it in range(4):
+        for it in range(first):
             step.step(it)
-        with pytest.raises(FloatingPointError, match=r"agent 0 .* m=1 after 5 iterations"):
-            step.step(4)
+        with pytest.raises(
+            FloatingPointError, match=rf"agent 0 .* m=1 after {first + 1} iterations"
+        ):
+            step.step(first)
 
     def test_no_draws_from_the_exploration_horizon_on(self):
         config = tiny_config(epsilon=1.0, explore_fraction=0.33, max_iterations=7)
@@ -379,6 +387,59 @@ class TestDensityStep:
         step.step(0)
         second = step_row(step, 1)
         assert len(set(second.actions)) == 1
+
+
+def replays(actions: np.ndarray) -> np.ndarray:
+    """For each row of a step's ``(k, m)`` actions, whether it repeats the row before it."""
+    return np.r_[False, (actions[1:] == actions[:-1]).all(axis=1)]
+
+
+class TestEvaluationReuse:
+    """An iteration that replays the previous joint action reuses its evaluation."""
+
+    @pytest.mark.parametrize("sharing", [True, False])
+    def test_reused_rows_equal_a_fresh_evaluation(self, sharing):
+        config = tiny_config(m_max=4, seed_agents=1, trace_stride=1, sharing_enabled=sharing)
+        sim = Simulation(config)
+        trace = sim.run()
+        reused = 0
+        for m, density in trace.records.items():
+            agents = [sim.agents[i] for i in sim.admission_order[:m]]
+            links = Links(sim.gains, sim.p_bs_mw, sim.noise_mw, ids=[a.agent_id for a in agents])
+            proximity = np.array([a.proximity for a in agents])
+            q_fue = np.array([a.fue_threshold for a in agents])
+            for row in density:
+                c_mue, c_fue = links.capacities(sim.actions.levels_mw[row.actions])
+                rewards = sim.reward_fn(c_fue, c_mue, proximity, q_fue, sim.thresholds.mue)
+                assert np.float64(c_mue).tobytes() == row.c_mue.tobytes()
+                assert c_fue.tobytes() == row.c_fue.tobytes()
+                assert rewards.tobytes() == row.rewards.tobytes()
+            reused += int(replays(density.actions).sum())
+        assert reused > 0
+
+    def test_a_reward_that_rewrites_one_buffer(self):
+        # one station of three levels, exploring half the time, so joint
+        # actions repeat, change and return; each reward call overwrites the
+        # array the previous call returned
+        def buffer_reward():
+            out = np.empty(1)
+            return lambda c_fue, c_mue, *_: np.subtract(c_fue, c_mue, out=out)
+
+        config = tiny_config(m_max=1, seed_agents=1, n_power=3, epsilon=0.5, explore_fraction=1.0)
+        sim = Simulation(config, reward_fn=buffer_reward())
+        ref = Simulation(config, reward_fn=buffer_reward())
+        step = DensityStep(sim, sim.agents, sharing=False)
+        loop = LoopDensityStep(ref, ref.agents, sharing=False)
+        actions = []
+        for it in range(100):
+            got, expected = step.step(it), loop.step(it)
+            assert got[0].tolist() == expected[0].tolist()
+            assert got[3].tolist() == expected[3].tolist(), it
+            assert step.q.tobytes() == loop._qmat.tobytes(), it
+            actions.append(got[0][0])
+        assert replays(np.array(actions)[:, None]).any()
+        # an action played again right after another one
+        assert any(actions[i] == actions[i - 2] != actions[i - 1] for i in range(2, 100))
 
 
 class TestSimulationProtocol:
@@ -611,6 +672,7 @@ def assert_runs_like_the_loop_reference(config, monkeypatch):
     assert sim.q.tobytes() == ref.q.tobytes()
     states = [a.rng.bit_generator.state for a in sim.agents]
     assert states == [a.rng.bit_generator.state for a in ref.agents]
+    return trace
 
 
 @pytest.mark.slow
@@ -635,3 +697,11 @@ class TestLoopReference:
             seed=4, epsilon=0.5, explore_fraction=1.0, max_iterations=700, trace_stride=1
         )
         assert_runs_like_the_loop_reference(config, monkeypatch)
+
+    def test_oracle_m5_scenario(self, monkeypatch):
+        # the benchmark's oracle_m5 learning run with every iteration kept;
+        # about half its iterations replay the previous joint action
+        config = ScenarioConfig(seed=1, m_max=5, n_power=25, max_iterations=5000, trace_stride=1)
+        trace = assert_runs_like_the_loop_reference(config, monkeypatch)
+        rows = [replays(density.actions) for density in trace.records.values()]
+        assert np.concatenate(rows).mean() > 0.4

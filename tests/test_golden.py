@@ -89,11 +89,24 @@ def test_custom_reward_stays_with_its_run(tmp_path):
 
     trace = Simulation(replace(golden_config(True), trace_stride=1), reward_fn=qos_gap).run()
 
-    # one call per iteration, with one entry per active agent
-    steps = trace.summaries
-    assert shapes == [((s.m,),) * 3 for s in steps for _ in range(s.iterations_to_converge)]
+    # one call on a step's first iteration and on each iteration whose joint
+    # action differs from the previous one's, with one entry per active agent;
+    # the iterations in between record the last call's rewards
+    called, expected_shapes, expected, reused = iter(outputs), [], [], 0
+    for s in trace.summaries:
+        density = trace.records[s.m]
+        assert len(density) == s.iterations_to_converge
+        for i, actions in enumerate(density.actions.tolist()):
+            if i and actions == density.actions[i - 1].tolist():
+                reused += 1
+            else:
+                expected_shapes.append(((s.m,),) * 3)
+                last = next(called).tolist()
+            expected.append(last)
+    assert shapes == expected_shapes
+    assert reused > 0
     recorded = [row for density in trace.records.values() for row in density.rewards.tolist()]
-    assert recorded == [r.tolist() for r in outputs]
+    assert recorded == expected
 
     # a default run built afterwards in the same process still gives the golden
     config = golden_config(True)
