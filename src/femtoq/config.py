@@ -25,8 +25,9 @@ LAYOUT_STREAM = 0
 ADMISSION_STREAM = 1
 AGENT_STREAM = 2
 
-# the pruned oracle's bound tables grow with the cap: about 153 MiB at 10**9
-# joint actions, 6.5 GiB at 10**10, and past numpy's 64 dimensions beyond
+# the oracle numbers joint actions by int64 flat index, and np.unravel_index
+# refuses a space larger than intp ((2,)*64: "dimensions are too large");
+# 10**9 stays far inside both
 _ORACLE_CAP_MAX = 10**9
 
 

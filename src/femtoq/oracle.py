@@ -14,16 +14,17 @@ and on their femto sum, updated from its parent's (:class:`_Bounds`).
 
 One pass runs at most twice: for QoS and then, only if no action meets
 QoS, without it. With QoS, a prefix whose macro or station bound falls
-below its threshold gets the bound -inf. A pass first descends a beam,
-the ``_BEAM`` prefixes with the best bounds at each depth, and evaluates
-their leaves; the best row, or with QoS the best row meeting it, is the
-incumbent. If the beam holds no such row, :func:`min_levels` is asked
-whether thresholds relaxed by ``_MARGIN`` can be met; if not, the QoS
-pass ends. Then the pass expands, from the root, every prefix whose bound
-reaches the incumbent: depth first, in pieces of at most ``n**k``
-children, k the largest with ``n**k <= _CHUNK`` (at least 1, at most m),
-by descending bound. The surviving leaves are evaluated in batches of at
-most ``n**k`` rows, each pruned again against the incumbent first.
+below its threshold gets the bound -inf. A pass expands, from the root,
+every prefix whose bound reaches the incumbent: depth first, in pieces
+of at most ``n**k`` children, k the largest with ``n**k <= _CHUNK`` (at
+least 1, at most m), by descending bound. The surviving leaves are
+evaluated in batches of at most ``n**k`` rows, each pruned again against
+the incumbent first; the best row, or with QoS the best row meeting it,
+is the incumbent. Until the first leaves are evaluated, each expansion's
+``_BEAM`` best children, at most a piece, go first as a piece of their
+own: the first dive follows the best bounds down to one batch. If that
+batch holds no row meeting QoS, :func:`min_levels` is asked whether
+thresholds relaxed by ``_MARGIN`` can be met; if not, the QoS pass ends.
 
 The batch is row-major, one joint action a row, as the macro user's
 matrix-vector product needs it; the femto-user capacities come back
@@ -53,7 +54,7 @@ from .channel import _LN2, ActionSet, Links
 from .reward import QosThresholds
 
 _CHUNK = 1 << 15
-_BEAM = 16  # prefixes kept per depth while the first incumbent is sought
+_BEAM = 16  # prefixes per depth of the first dive, which seeks the first incumbent
 _MARGIN = 1.0 + 1e-9  # covers the last-bit roundings of the kernel and the bounds
 
 
@@ -86,13 +87,13 @@ def exhaustive_search(
     """Search all joint power assignments and maximize femto sum capacity.
 
     A QoS pass and, if it finds no feasible action, a pass without, each
-    a beam and then a branch-and-bound over prefixes (see the module
-    docstring); a leaf of more than ``_CHUNK`` actions, when ``n_power``
-    is that large, is one batch. Ties break to the lexicographically
-    smallest action-index vector: in a batch, the smallest flat index
-    among the rows reaching the largest objective, and across batches the
-    incumbent ``(objective, -flat index)``, which a prefix whose bound
-    equals it can still beat. Raises :class:`EnumerationCapExceeded` when
+    one branch-and-bound over prefixes (see the module docstring); a leaf
+    of more than ``_CHUNK`` actions, when ``n_power`` is that large, is
+    one batch. Ties break to the lexicographically smallest action-index
+    vector: in a batch, the smallest flat index among the rows reaching
+    the largest objective, and across batches the incumbent
+    ``(objective, -flat index)``, which a prefix whose bound equals it can
+    still beat. Raises :class:`EnumerationCapExceeded` when
     ``n_power ** M`` exceeds the cap, before anything is allocated.
     """
     m = len(gains) - 1
@@ -136,10 +137,7 @@ def exhaustive_search(
         With ``qos``, a child whose macro or station bound falls below its
         threshold gets -inf.
         """
-        # a piece's children fit the workspace; the beam's need not, when
-        # a piece holds fewer than _BEAM prefixes
-        out = work if flat.size <= piece else None
-        station, macro = bounds.children(levels[digits(flat, d)], out=out)
+        station, macro = bounds.children(levels[digits(flat, d)], out=work)
         upper = station.sum(axis=1)
         if qos:
             upper[(macro < thresholds.mue) | (station < q_fue).any(axis=1)] = -np.inf
@@ -184,16 +182,7 @@ def exhaustive_search(
         starts below every objective and above every hopeless bound.
         """
         incumbent = (-np.finfo(float).max, 1)  # 1: no action yet
-        flat = np.zeros(1, dtype=np.int64)
-        for d in range(m - 1):
-            flat, upper = expand(d, flat, qos)
-            beam = np.argsort(-upper)[:_BEAM]
-            flat = flat[beam[upper[beam] > -np.inf]]
-        for i in range(0, flat.size, piece):
-            incumbent = evaluate(flat[i : i + piece], qos, incumbent)
-        if qos and incumbent[1] > 0:
-            if min_levels(links, levels, q_fue / _MARGIN, thresholds.mue / _MARGIN) is None:
-                return None  # not even thresholds relaxed by _MARGIN can be met
+        first = min(_BEAM, piece)  # the best children, a piece until leaves are evaluated
         # depth first from the root, the best piece of each expansion first
         stack = [(0, np.zeros(1, dtype=np.int64), np.full(1, np.inf))]
         while stack:
@@ -203,12 +192,18 @@ def exhaustive_search(
                 continue
             if d == m - 1:
                 incumbent = evaluate(flat, qos, incumbent)
+                if first and qos and incumbent[1] > 0:
+                    if min_levels(links, levels, q_fue / _MARGIN, thresholds.mue / _MARGIN) is None:
+                        return None  # not even thresholds relaxed by _MARGIN can be met
+                first = 0
                 continue
             flat, upper = expand(d, flat, qos)
             order = np.argsort(-upper)
             flat, upper = flat[order], upper[order]
-            for i in reversed(range(0, flat.size, piece)):
+            for i in reversed(range(first, flat.size, piece)):
                 stack.append((d + 1, flat[i : i + piece], upper[i : i + piece]))
+            if first:
+                stack.append((d + 1, flat[:first], upper[:first]))
         return incumbent if incumbent[1] <= 0 else None
 
     found = search(qos=True)

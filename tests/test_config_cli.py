@@ -629,7 +629,7 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["validate-config", "oracle"])
     def test_oracle_cap_past_its_limit_exits_1_naming_the_key(self, tmp_path, capsys, command):
-        # the pruned search's bound tables for 20 stations would pass numpy's 64 dimensions
+        # 31^20 joint actions: flat indices past int64, a space np.unravel_index refuses
         path = write_yaml(tmp_path / "c.yaml", {"run": {"oracle_cap": 10**40}})
         out = tmp_path / "out"
         args = ["--config", path, "--m-max", "20", "--out", str(out), "--quiet"]

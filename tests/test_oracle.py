@@ -309,9 +309,9 @@ class TestBlockEnumeration:
 
     @pytest.mark.parametrize("level", ["loose", "mid", "impossible"])
     @pytest.mark.parametrize("m", [3, 4])
-    def test_a_beam_wider_than_a_piece(self, monkeypatch, m, level):
-        # 5^2 > 8: batches of one leaf, and pieces of one prefix, while the
-        # beam expands up to _BEAM prefixes at once
+    def test_a_first_dive_clipped_to_a_piece(self, monkeypatch, m, level):
+        # 5^2 > 8: batches of one leaf, and pieces of one prefix, so the
+        # first dive holds one prefix at each depth, not _BEAM
         monkeypatch.setattr(oracle, "_CHUNK", 8)
         gains, actions, thresholds = grid_instance(m, 5, level, seed=0)
         search_and_reference(gains, actions, thresholds, p_bs_mw=10.0)
@@ -465,11 +465,12 @@ class TestCertificate:
         assert np.all(feasible >= least)
 
 
-def count_batches(monkeypatch) -> tuple[list, list]:
-    """The rows of each batch ``Links.capacities`` call from now on, as (search, certificate).
+def count_batches(monkeypatch, record=len) -> tuple[list, list]:
+    """``record`` of each batch ``Links.capacities`` call from now on, as (search, certificate).
 
     The search makes one call per batch of leaves its bounds leave, n
-    rows each; the calls of ``min_levels`` are counted apart.
+    rows each; the calls of ``min_levels`` are counted apart. By default
+    a batch is recorded as its number of rows.
     """
     search, certificate = [], []
     capacities = Links.capacities
@@ -477,7 +478,7 @@ def count_batches(monkeypatch) -> tuple[list, list]:
     def counted(self, powers_mw, out=None):
         if powers_mw.ndim == 2:
             caller = sys._getframe(1).f_code.co_name
-            (certificate if caller == "min_levels" else search).append(len(powers_mw))
+            (certificate if caller == "min_levels" else search).append(record(powers_mw))
         return capacities(self, powers_mw, out)
 
     monkeypatch.setattr(Links, "capacities", counted)
@@ -611,7 +612,7 @@ class TestPruning:
 
     def test_oracle_m5_scenario_evaluates_within_a_row_budget(self, monkeypatch):
         # the benchmark's 25^5-action scenario: leaves of 25 actions, in
-        # batches of at most 25^3 rows, the beam's 16 leaves first
+        # batches of at most 25^3 rows, the first dive's 16 leaves first
         sim = Simulation(ScenarioConfig(m_max=5, n_power=25))
         calls, certificate = count_batches(monkeypatch)
         result = search(sim)
@@ -620,8 +621,18 @@ class TestPruning:
         assert calls[0] == 16 * 25
         assert len(calls) <= 4
         assert sum(calls) <= 20_000
-        # the beam holds a feasible action, so the certificate never runs
+        # the first dive holds a feasible action, so the certificate never runs
         assert certificate == []
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_no_joint_action_is_evaluated_twice(self, monkeypatch, seed):
+        # the benchmark's scenario is feasible at these seeds, so one pass
+        # runs, and its first dive is the start of its depth-first search
+        sim = Simulation(ScenarioConfig(seed=seed, m_max=5, n_power=25))
+        batches, _ = count_batches(monkeypatch, record=np.copy)
+        assert search(sim).feasible
+        rows = np.vstack(batches)
+        assert len(np.unique(rows, axis=0)) == len(rows)
 
     @pytest.mark.parametrize("seed", [2, 3])
     def test_a_layout_without_a_feasible_action_prunes_on_the_bound_alone(self, monkeypatch, seed):
@@ -639,12 +650,11 @@ class TestPruning:
         assert not search(sim).feasible
         assert len(calls) <= 8
         # one (n, m) batch per station in each sweep, after the QoS pass's
-        # beam, which holds no feasible action and so ends that pass
+        # first dive, which holds no feasible action and so ends that pass
         assert set(certificate) == {25}
-        # in each pass, one call per depth of the beam, then one per piece
-        # expanded: the pass without the QoS test stops once no bound
-        # reaches the best action
-        assert len(bounded) <= 16
+        # in each pass, one call per depth of the first dive: the pass
+        # without the QoS test finds no bound left that reaches its best action
+        assert len(bounded) <= 8
 
     def test_an_infeasible_instance_finds_its_best_action_in_a_hopeless_block(self):
         # no action meets QoS, and the best action lies under a prefix that
@@ -657,7 +667,7 @@ class TestPruning:
 
     def test_a_feasible_action_under_an_infeasible_certificate_is_an_error(self, monkeypatch):
         # thresholds at 0.9 of the unconstrained optimum's capacities: the
-        # beam holds no action meeting them, so the search asks the
+        # first dive holds no action meeting them, so the search asks the
         # certificate, here one that answers wrongly; the pass without the
         # QoS test then evaluates the optimum, which meets them
         gains, actions = random_gain_matrix(4, seed=17), ActionSet(-20.0, 25.0, 8)
