@@ -15,7 +15,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import __version__
 from .config import (
@@ -23,7 +22,7 @@ from .config import (
     ScenarioConfig,
     config_from_dict,
     config_hash,
-    config_to_dict,
+    dump_config,
     load_yaml,
     save_config,
 )
@@ -312,7 +311,7 @@ def main(argv=None) -> int:
             Simulation(config)
             print(f"config ok (hash {config_hash(config)})")
             if not args.quiet:
-                print(yaml.safe_dump(config_to_dict(config), sort_keys=True), end="")
+                print(dump_config(config), end="")
         elif args.command == "run":
             run_experiment(config, quiet=args.quiet)
         else:

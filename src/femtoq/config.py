@@ -286,19 +286,34 @@ def config_to_dict(config: ScenarioConfig) -> dict[str, Any]:
     return out
 
 
+# libyaml's loader and dumper read and write the same text as the pure
+# Python classes, several times faster; a pyyaml built without it has only those
+_LOADER, _DUMPER = (
+    (yaml.CSafeLoader, yaml.CSafeDumper)
+    if yaml.__with_libyaml__
+    else (yaml.SafeLoader, yaml.SafeDumper)
+)
+
+
 def load_yaml(path) -> Any:
     """The parsed YAML of a scenario file, for ``config_from_dict``; an empty file is None."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return yaml.safe_load(fh)
+            return yaml.load(fh, Loader=_LOADER)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"malformed YAML in {path}: {exc}") from exc
 
+
+def dump_config(config: ScenarioConfig, stream=None) -> str | None:
+    """The config as YAML with sorted keys, written to ``stream`` or else returned."""
+    return yaml.dump(config_to_dict(config), stream, Dumper=_DUMPER, sort_keys=True)
+
+
 def save_config(config: ScenarioConfig, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(config_to_dict(config), fh, sort_keys=True)
+        dump_config(config, fh)
 
 
 # where artifacts go and how far the oracle may enumerate change no result

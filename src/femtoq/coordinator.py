@@ -32,6 +32,10 @@ from .reward import REWARDS, QosThresholds, RewardFunction
 from .topology import AgentState, distance
 
 
+# the joint actions whose evaluations a density step remembers
+MEMO_SIZE = 1024
+
+
 def explore_until(epsilon: float, explore_fraction: float, max_iterations: int) -> int:
     """The first greedy iteration: ceil(explore_fraction * max_iterations), 0 if epsilon is 0.
 
@@ -236,13 +240,16 @@ class DensityStep:
 
     An iteration on which no agent explores plays the greedy actions, so the
     gather of the row maxima also gives the entries the update starts from.
-    An iteration whose joint action equals that of this step's previous
-    ``step`` call returns that call's ``c_mue, c_fue, rewards`` objects
-    instead of evaluating the capacities and the reward again. The one slot
-    is keyed by the whole joint action, so ``step(i)`` still returns a
-    function of the Q buffer and ``i``, whatever the order of the calls, as
-    long as the reward is a pure function of its arguments. Callers must not
-    write into the arrays ``step`` returns; ``run`` copies them.
+    The step remembers the evaluations of the last ``MEMO_SIZE`` joint
+    actions it evaluated, keyed by the whole joint action. An iteration
+    whose joint action is remembered returns that evaluation's ``c_mue,
+    c_fue, rewards`` objects. Any other iteration calls the capacity kernel
+    and ``reward_fn`` once, stores the capacities and a copy of the rewards,
+    and forgets the oldest entry when the memo is full. So ``step(i)`` still
+    returns a function of the Q buffer and ``i``, whatever the order of the
+    calls, as long as the reward is a pure function of its arguments.
+    Callers must not write into the arrays ``step`` returns; ``run`` copies
+    them.
 
     After the update, each group's rows are replaced by their mean: the
     sum over the group's ``k`` rows, padding included, over its size. That
@@ -319,7 +326,7 @@ class DensityStep:
                 rng, self._epsilon, n_actions, h
             )
         self._explores = self._flags.any(axis=1).tolist()
-        self._key = None  # the joint action whose evaluation ``_last`` holds
+        self._seen: dict[bytes, tuple] = {}  # joint action -> (c_mue, c_fue, rewards)
 
     @property
     def q(self) -> np.ndarray:
@@ -343,15 +350,17 @@ class DensityStep:
             pos = self._row_start + actions
             old = flat[pos]
 
-        key = actions.tobytes()
-        if key == self._key:
-            c_mue, c_fue, rewards = self._last
-        else:
+        key, seen = actions.tobytes(), self._seen
+        hit = seen.get(key)
+        if hit is None:
             c_mue, c_fue = self._capacities(self._levels_mw[actions])
             rewards = self._reward_fn(
                 c_fue, c_mue, self._proximity, self._fue_thresholds, self._q_mue
             )
-            self._key, self._last = key, (c_mue, c_fue, rewards)
+            if len(seen) >= MEMO_SIZE:
+                del seen[next(iter(seen))]  # a dict keeps insertion order
+            hit = seen[key] = c_mue, c_fue, rewards.copy()
+        c_mue, c_fue, rewards = hit
 
         new = self._keep * old + self._alpha * (rewards + self._gamma * row_max)
         if self._shared:
@@ -437,10 +446,10 @@ class Simulation:
     agents' proximity ratios and femto QoS thresholds as ``(m,)`` arrays in
     agent order, then the macro threshold. It returns the ``(m,)`` float
     array of rewards and must be a pure function of its arguments: a density
-    step calls it on its first iteration and then only on the iterations
-    whose joint action differs from the previous one's, reusing the last
-    result in between. It belongs to this run only; by default it is
-    ``REWARDS[config.reward_name]`` with the config's
+    step calls it only on the iterations whose joint action is not among the
+    last ``MEMO_SIZE`` it evaluated, and reuses a copy of the result for
+    that joint action while it stays remembered. It belongs to this run
+    only; by default it is ``REWARDS[config.reward_name]`` with the config's
     ``mue_capacity_exponent``.
     """
 

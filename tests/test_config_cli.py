@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import femtoq
+from femtoq import config as config_module
 from femtoq.cli import main, run_experiment, write_run_artifacts
 from femtoq.config import (
     ConfigError,
@@ -25,6 +26,7 @@ from femtoq.config import (
     config_from_dict,
     config_hash,
     config_to_dict,
+    dump_config,
     load_yaml,
     save_config,
     with_pinned_layout,
@@ -35,6 +37,10 @@ from reference import density_csv
 
 # config_hash(ScenarioConfig()): it must not move when the hashing code does
 DEFAULT_HASH = "c3a46e82b89de648058c88807e75123ec7b646f1216da2820a76dec161666add"
+
+# pyyaml's pure classes, and libyaml's where pyyaml was built with it
+LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
+DUMPERS = [yaml.SafeDumper] + ([yaml.CSafeDumper] if yaml.__with_libyaml__ else [])
 
 FAST_RUN = {
     "phases": {"m_max": 2, "seed_agents": 1},
@@ -327,12 +333,46 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="malformed YAML"):
             load_yaml(path)
 
+    @pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+    @pytest.mark.parametrize(
+        "text", ["a: b: c", "x: \x00", "x: &a [*b]", "x: !!python/object:os.system 1"]
+    )
+    def test_malformed_yaml_reported_by_either_loader(self, tmp_path, monkeypatch, loader, text):
+        monkeypatch.setattr(config_module, "_LOADER", loader)
+        path = tmp_path / "bad.yaml"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError, match="malformed YAML"):
+            load_yaml(path)
+
     def test_missing_file_reported(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_yaml(tmp_path / "missing.yaml")
 
 
 class TestConfigRoundTrip:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            ScenarioConfig(),
+            ScenarioConfig(
+                m_max=2,
+                d_th_m=1 / 3,
+                fue_min_capacity=(1.0, 2.5e-7),
+                fbs_positions=((0.0, 0.0), (35.0, -1e20)),
+                fue_positions=((4.0, 0.0), (39.0, 1.0)),
+                output_dir="runs/ü #1: [x]",
+            ),
+        ],
+        ids=["default", "positions"],
+    )
+    def test_every_loader_and_dumper_agree_on_the_text(self, tmp_path, config):
+        data = config_to_dict(config)
+        texts = {yaml.dump(data, Dumper=dumper, sort_keys=True) for dumper in DUMPERS}
+        assert texts == {dump_config(config)}
+        save_config(config, tmp_path / "saved.yaml")
+        assert (tmp_path / "saved.yaml").read_text(encoding="utf-8") == dump_config(config)
+        assert all(yaml.load(dump_config(config), Loader=loader) == data for loader in LOADERS)
+
     def test_dict_round_trip_is_hash_stable(self, tmp_path):
         config = ScenarioConfig(seed=7, m_max=5)
         path = tmp_path / "out.yaml"

@@ -394,15 +394,26 @@ def replays(actions: np.ndarray) -> np.ndarray:
     return np.r_[False, (actions[1:] == actions[:-1]).all(axis=1)]
 
 
+def returns(actions: np.ndarray) -> np.ndarray:
+    """For each row of a step's ``(k, m)`` actions, whether it repeats an earlier row
+    other than the row before it."""
+    seen, previous, out = set(), None, []
+    for row in map(tuple, actions.tolist()):
+        out.append(row in seen and row != previous)
+        seen.add(row)
+        previous = row
+    return np.array(out, dtype=bool)
+
+
 class TestEvaluationReuse:
-    """An iteration that replays the previous joint action reuses its evaluation."""
+    """An iteration that replays a remembered joint action reuses its evaluation."""
 
     @pytest.mark.parametrize("sharing", [True, False])
     def test_reused_rows_equal_a_fresh_evaluation(self, sharing):
         config = tiny_config(m_max=4, seed_agents=1, trace_stride=1, sharing_enabled=sharing)
         sim = Simulation(config)
         trace = sim.run()
-        reused = 0
+        reused = returned = 0
         for m, density in trace.records.items():
             agents = [sim.agents[i] for i in sim.admission_order[:m]]
             links = Links(sim.gains, sim.p_bs_mw, sim.noise_mw, ids=[a.agent_id for a in agents])
@@ -415,7 +426,9 @@ class TestEvaluationReuse:
                 assert c_fue.tobytes() == row.c_fue.tobytes()
                 assert rewards.tobytes() == row.rewards.tobytes()
             reused += int(replays(density.actions).sum())
+            returned += int(returns(density.actions).sum())
         assert reused > 0
+        assert returned > 0
 
     def test_a_reward_that_rewrites_one_buffer(self):
         # one station of three levels, exploring half the time, so joint
@@ -440,6 +453,45 @@ class TestEvaluationReuse:
         assert replays(np.array(actions)[:, None]).any()
         # an action played again right after another one
         assert any(actions[i] == actions[i - 2] != actions[i - 1] for i in range(2, 100))
+
+    def test_a_memo_of_two_evicts_and_evaluates_again(self, monkeypatch):
+        # three joint actions take turns through a memo that holds two
+        monkeypatch.setattr(coordinator, "MEMO_SIZE", 2)
+        config = tiny_config(m_max=1, seed_agents=1, n_power=3, epsilon=0.5, explore_fraction=1.0)
+        sim, ref = Simulation(config), Simulation(config)
+        calls = []
+        reward_fn = sim.reward_fn
+        sim.reward_fn = lambda *args: calls.append(args[0].tolist()) or reward_fn(*args)
+        step = DensityStep(sim, sim.agents, sharing=False)
+        loop = LoopDensityStep(ref, ref.agents, sharing=False)
+        played = []
+        for it in range(100):
+            got, expected = step.step(it), loop.step(it)
+            played.append(int(got[0][0]))
+            assert got[0].tobytes() == expected[0].tobytes(), it
+            assert np.float64(got[1]).tobytes() == np.float64(expected[1]).tobytes(), it
+            assert got[2].tobytes() == expected[2].tobytes(), it
+            assert got[3].tobytes() == expected[3].tobytes(), it
+            assert got[4] == expected[4], it
+            assert step.q.tobytes() == loop._qmat.tobytes(), it
+            assert len(step._seen) <= 2
+        # the oldest of the two goes first, and an evicted action is evaluated again
+        memo, evaluated = [], 0
+        for action in played:
+            if action not in memo:
+                memo, evaluated = (memo + [action])[-2:], evaluated + 1
+        assert len({tuple(c) for c in calls}) == 3 < len(calls) == evaluated < 100
+
+    def test_the_memo_never_passes_its_size(self):
+        # three stations of 31 levels that always explore: almost every
+        # iteration plays a new joint action
+        config = tiny_config(epsilon=1.0, explore_fraction=1.0, max_iterations=1500)
+        sim = Simulation(config)
+        step = DensityStep(sim, sim.agents, sharing=False)
+        for it in range(1500):
+            step.step(it)
+            assert len(step._seen) <= coordinator.MEMO_SIZE
+        assert len(step._seen) == coordinator.MEMO_SIZE
 
 
 class TestSimulationProtocol:

@@ -15,7 +15,7 @@ import pytest
 
 from femtoq.cli import run_oracle, write_run_artifacts
 from femtoq.config import ScenarioConfig
-from femtoq.coordinator import Simulation
+from femtoq.coordinator import MEMO_SIZE, Simulation
 from femtoq.oracle import exhaustive_search
 
 STRIDE = 9
@@ -89,22 +89,26 @@ def test_custom_reward_stays_with_its_run(tmp_path):
 
     trace = Simulation(replace(golden_config(True), trace_stride=1), reward_fn=qos_gap).run()
 
-    # one call on a step's first iteration and on each iteration whose joint
-    # action differs from the previous one's, with one entry per active agent;
-    # the iterations in between record the last call's rewards
-    called, expected_shapes, expected, reused = iter(outputs), [], [], 0
+    # one call per joint action the step's memo does not hold, in the order
+    # the actions are first played, with one entry per active agent; a
+    # remembered action records the rewards of its call
+    called, expected_shapes, expected, returned = iter(outputs), [], [], 0
     for s in trace.summaries:
         density = trace.records[s.m]
         assert len(density) == s.iterations_to_converge
-        for i, actions in enumerate(density.actions.tolist()):
-            if i and actions == density.actions[i - 1].tolist():
-                reused += 1
+        memo, previous = {}, None
+        for actions in map(tuple, density.actions.tolist()):
+            if actions in memo:
+                returned += actions != previous
             else:
+                if len(memo) == MEMO_SIZE:
+                    del memo[next(iter(memo))]
                 expected_shapes.append(((s.m,),) * 3)
-                last = next(called).tolist()
-            expected.append(last)
+                memo[actions] = next(called).tolist()
+            expected.append(memo[actions])
+            previous = actions
     assert shapes == expected_shapes
-    assert reused > 0
+    assert returned > 0  # some rewards come from before the previous iteration
     recorded = [row for density in trace.records.values() for row in density.rewards.tolist()]
     assert recorded == expected
 
